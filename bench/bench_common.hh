@@ -12,13 +12,15 @@
 #ifndef ESPRESSO_BENCH_BENCH_COMMON_HH
 #define ESPRESSO_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "util/env.hh"
 #include "util/phase_timer.hh"
 
 namespace espresso {
@@ -28,17 +30,15 @@ namespace bench {
  * Per-figure work amount. ESPRESSO_BENCH_OPS overrides the default —
  * the `bench-smoke` target sets it to a tiny count so CI can prove
  * every figure binary still runs end to end without paying full
- * benchmark time.
+ * benchmark time. Parsed strictly (envUnsigned): "10k" warns and
+ * keeps the default instead of running 10 ops.
  */
 inline int
 opsFromEnv(int default_ops)
 {
-    if (const char *s = std::getenv("ESPRESSO_BENCH_OPS")) {
-        int v = std::atoi(s);
-        if (v > 0)
-            return v;
-    }
-    return default_ops;
+    unsigned v = envUnsigned("ESPRESSO_BENCH_OPS",
+                             static_cast<unsigned>(default_ops));
+    return static_cast<int>(std::min<unsigned>(v, INT_MAX));
 }
 
 inline std::uint64_t

@@ -7,8 +7,8 @@
  *    gcThreads in {1, 2, 4, 8}; the figure reports the mark /
  *    compact / total pause against the 1-thread classic sliding
  *    path. Both phases scale while cores last — mark fans out over
- *    per-worker stacks with work stealing, compact over
- *    live-balanced region slices.
+ *    private per-worker stacks that share work with idle peers,
+ *    compact over live-balanced region slices.
  *
  * 2. Latency SLO under collection: a YCSB-A-style 50/50 read/update
  *    client serves paced requests against the shard *while* a
@@ -59,18 +59,24 @@ collectOnce(unsigned gc_threads, int objects, double garbage_ratio)
                 {"pad2", FieldType::kI64}, {"pad3", FieldType::kI64}},
               false});
 
-    PjhConfig pjh;
-    pjh.dataSize = 64u << 20;
-    PjhHeap *heap = rt.heaps().createHeap("mtgc", pjh);
-    heap->setGcThreads(gc_threads);
-
-    std::uint32_t next_off = rt.fieldOffset("Blob", "next");
     int keep_every =
         garbage_ratio >= 1.0
             ? objects + 1
             : static_cast<int>(1.0 / (1.0 - garbage_ratio));
     // Several independent kept chains so the live set spreads across
-    // many regions (one chain per 64 survivors).
+    // many regions (one chain per 64 survivors), each published as a
+    // named root: size the name table for them, with room for the
+    // Klass entries.
+    std::size_t survivors =
+        static_cast<std::size_t>((objects + keep_every - 1) / keep_every);
+    PjhConfig pjh;
+    pjh.dataSize = 64u << 20;
+    pjh.nameTableCapacity = std::max(pjh.nameTableCapacity,
+                                     2 * ((survivors + 63) / 64) + 64);
+    PjhHeap *heap = rt.heaps().createHeap("mtgc", pjh);
+    heap->setGcThreads(gc_threads);
+
+    std::uint32_t next_off = rt.fieldOffset("Blob", "next");
     std::vector<Oop> chains;
     for (int i = 0; i < objects; ++i) {
         Oop o = rt.pnewInstance(heap, "Blob");

@@ -36,7 +36,7 @@ OldGc::markRef(Addr ref)
         return;
     Oop obj(ref);
     marks_.markObject(ref, obj.sizeInBytes());
-    markStack_.push_back(ref);
+    greyStack_.push_back(ref);
 }
 
 void
@@ -61,9 +61,9 @@ OldGc::markFromRoots()
         a += o.sizeInBytes();
     }
 
-    while (!markStack_.empty()) {
-        Oop obj(markStack_.back());
-        markStack_.pop_back();
+    while (!greyStack_.empty()) {
+        Oop obj(greyStack_.back());
+        greyStack_.pop_back();
         obj.forEachRefSlot(
             [this](Addr slot) { markRef(loadWord(slot)); });
     }

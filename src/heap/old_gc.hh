@@ -41,7 +41,7 @@ class OldGc
     std::vector<Word> liveStorage_;
     MarkBitmap marks_;
     RegionTable regions_;
-    std::vector<Addr> markStack_;
+    std::vector<Addr> greyStack_;
 };
 
 } // namespace espresso

@@ -25,12 +25,13 @@
  *    other members, so lookups stay O(1) for ring-local roots (the
  *    common case: pnew routed by the same key) and stay correct for
  *    remote-shard roots.
- *  - GC: collectShard(i) quiesces shard i only — allocation and
- *    roots on every other shard proceed (the quiescence scope is
- *    the shard, not the process). In concurrent mode
- *    (setGcConcurrent / ESPRESSO_GC_CONCURRENT) even shard i's own
- *    traffic overlaps the marking phase and blocks only for the
- *    snapshot and remark+compact safepoints. collectAll() fans
+ *  - GC: collectShard(i) pauses shard i only — allocation and
+ *    roots on every other shard proceed (the safepoint's scope is
+ *    the shard, not the process); shard i's own traffic waits the
+ *    collection out. In concurrent mode (setGcConcurrent /
+ *    ESPRESSO_GC_CONCURRENT) shard i's traffic overlaps the marking
+ *    phase and waits only for the snapshot and remark+compact
+ *    safepoints. collectAll() fans
  *    independent per-shard collections across a fabric-level
  *    worker pool (ESPRESSO_FABRIC_GC_WORKERS, default: one worker
  *    per shard).
@@ -62,10 +63,10 @@
  * grow/shrink are the exception by design: they serialize against
  * each other on an internal mutex and run concurrently with
  * allocation and root traffic — but not with collections of source
- * members (object closures are streamed with plain reads, the same
- * quiescence class as collect()). HeapManager serializes the
- * named-fabric registry, and per-shard quiescence is the caller's
- * contract (same as collect()).
+ * members (object closures are streamed with plain reads that a
+ * compaction would move underneath); keeping collections off source
+ * members is the caller's contract. HeapManager serializes the
+ * named-fabric registry.
  */
 
 #ifndef ESPRESSO_PJH_HEAP_FABRIC_HH
@@ -294,12 +295,12 @@ class HeapFabric
      *    shard's guarded accessors, so reads and publishes are
      *    barrier-shaded and block only for the shard's brief
      *    safepoints (initial snapshot, remark+compact).
-     *  - Against a shard in *STW* collection the old contract stands:
-     *    root operations on that shard fall under its stop-the-world
-     *    contract, exactly like any mutator access to a collecting
-     *    heap. Ring-homed names (the key-routed pnew-then-publish
-     *    pattern) only ever touch their own shard, so they proceed
-     *    freely during other shards' collections either way.
+     *  - Against a shard in *STW* collection, root operations on that
+     *    shard wait for the collection to finish, exactly like any
+     *    mutator access to a collecting heap. Ring-homed names (the
+     *    key-routed pnew-then-publish pattern) only ever touch their
+     *    own shard, so they proceed freely during other shards'
+     *    collections either way.
      */
     /// @{
     void setRoot(const std::string &name, Oop obj);

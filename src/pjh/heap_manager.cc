@@ -33,16 +33,6 @@ HeapManager::setGcThreads(unsigned n)
         kv.second->setGcThreads(n);
 }
 
-void
-HeapManager::setGcConcurrent(bool on)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    gcConcurrent_ = on ? 1 : 0;
-    for (auto &kv : fabrics_)
-        if (kv.second)
-            kv.second->setGcConcurrent(on);
-}
-
 PjhHeap *
 HeapManager::createHeap(const std::string &name, std::size_t data_size)
 {
@@ -64,7 +54,6 @@ HeapManager::createFabric(const std::string &name,
                           unsigned vnodes)
 {
     unsigned gc_threads;
-    int gc_concurrent;
     {
         // Reserve the name only; the multi-device format below must
         // not stall unrelated registry lookups. A reserved-but-
@@ -75,15 +64,12 @@ HeapManager::createFabric(const std::string &name,
             fatal("createHeap: heap '" + name + "' already exists");
         fabrics_[name] = nullptr;
         gc_threads = gcThreads_;
-        gc_concurrent = gcConcurrent_;
     }
 
     auto fabric = std::make_unique<HeapFabric>(registry_, volatileHeap_,
                                                nvmCfg_);
     if (gc_threads != 0)
         fabric->setGcThreads(gc_threads);
-    if (gc_concurrent >= 0)
-        fabric->setGcConcurrent(gc_concurrent != 0);
     FabricConfig fcfg;
     fcfg.shard = shard_cfg;
     fcfg.shards = shards;

@@ -125,14 +125,6 @@ class HeapManager
      */
     void setGcThreads(unsigned n);
 
-    /**
-     * Concurrent-marking mode for every heap this manager owns:
-     * applied to all currently loaded shards and to every fabric
-     * created afterwards (see PjhHeap::setGcConcurrent). Until the
-     * first call, each heap follows ESPRESSO_GC_CONCURRENT.
-     */
-    void setGcConcurrent(bool on);
-
     KlassRegistry &registry() { return *registry_; }
 
   private:
@@ -144,10 +136,6 @@ class HeapManager
     NvmConfig nvmCfg_;
     /** Manager-wide GC thread override; 0 = per-heap default. */
     unsigned gcThreads_ = 0;
-
-    /** Manager-wide concurrent-marking override; -1 = per-heap
-     * default (ESPRESSO_GC_CONCURRENT). */
-    int gcConcurrent_ = -1;
 
     /** Guards fabrics_ and gcThreads_ against concurrent
      * create/load/detach/crash/lookup. */

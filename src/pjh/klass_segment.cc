@@ -32,46 +32,6 @@ pjhRawObjectSize(Oop o)
     return alignUp(img->instanceSize, kWordSize);
 }
 
-void
-pjhRawForEachRefSlotWithDelta(Oop o, std::ptrdiff_t delta,
-                              const std::function<void(Addr)> &visitor)
-{
-    auto *img = reinterpret_cast<const KlassImage *>(static_cast<Addr>(
-        (o.klassRefRaw() & ~Oop::kKlassPersistentTag) + delta));
-    if (img->isArray()) {
-        if (img->elemType() != FieldType::kRef)
-            return;
-        std::uint64_t n = o.arrayLength();
-        for (std::uint64_t i = 0; i < n; ++i)
-            visitor(o.elemAddr(i, kWordSize));
-        return;
-    }
-    const FieldImage *fields = img->fields();
-    for (Word i = 0; i < img->fieldCount; ++i) {
-        if (static_cast<FieldType>(fields[i].type) == FieldType::kRef)
-            visitor(o.addr() + fields[i].offset);
-    }
-}
-
-void
-pjhRawForEachRefSlot(Oop o, const std::function<void(Addr)> &visitor)
-{
-    const KlassImage *img = pjhRawImage(o);
-    if (img->isArray()) {
-        if (img->elemType() != FieldType::kRef)
-            return;
-        std::uint64_t n = o.arrayLength();
-        for (std::uint64_t i = 0; i < n; ++i)
-            visitor(o.elemAddr(i, kWordSize));
-        return;
-    }
-    const FieldImage *fields = img->fields();
-    for (Word i = 0; i < img->fieldCount; ++i) {
-        if (static_cast<FieldType>(fields[i].type) == FieldType::kRef)
-            visitor(o.addr() + fields[i].offset);
-    }
-}
-
 KlassSegment::KlassSegment(NvmDevice *device, Addr base, std::size_t size,
                            PjhMetadata *meta, NameTable *names)
     : device_(device), base_(base), size_(size), meta_(meta), names_(names)

@@ -111,17 +111,41 @@ bool pjhRawHeaderValid(Oop o, Addr seg_base, std::size_t seg_size);
 /** Object footprint from image data alone. */
 std::size_t pjhRawObjectSize(Oop o);
 
-/** Visit every reference-slot address of @p o using image layout. */
-void pjhRawForEachRefSlot(Oop o,
-                          const std::function<void(Addr)> &visitor);
-
 /**
- * Same, but for a heap whose stored addresses are @p delta bytes
- * below their current physical location (pre-rebase attach).
+ * Visit every reference-slot address of @p o using image layout, for
+ * a heap whose stored addresses are @p delta bytes below their
+ * current physical location (pre-rebase attach; 0 once attached).
+ * Inline so the collector's trace loop calls @p visitor directly.
  */
-void pjhRawForEachRefSlotWithDelta(
-    Oop o, std::ptrdiff_t delta,
-    const std::function<void(Addr)> &visitor);
+template <typename Visitor>
+void
+pjhRawForEachRefSlotWithDelta(Oop o, std::ptrdiff_t delta,
+                              Visitor &&visitor)
+{
+    auto *img = reinterpret_cast<const KlassImage *>(static_cast<Addr>(
+        (o.klassRefRaw() & ~Oop::kKlassPersistentTag) + delta));
+    if (img->isArray()) {
+        if (img->elemType() != FieldType::kRef)
+            return;
+        std::uint64_t n = o.arrayLength();
+        for (std::uint64_t i = 0; i < n; ++i)
+            visitor(o.elemAddr(i, kWordSize));
+        return;
+    }
+    const FieldImage *fields = img->fields();
+    for (Word i = 0; i < img->fieldCount; ++i) {
+        if (static_cast<FieldType>(fields[i].type) == FieldType::kRef)
+            visitor(o.addr() + fields[i].offset);
+    }
+}
+
+/** Visit every reference-slot address of @p o using image layout. */
+template <typename Visitor>
+void
+pjhRawForEachRefSlot(Oop o, Visitor &&visitor)
+{
+    pjhRawForEachRefSlotWithDelta(o, 0, visitor);
+}
 /// @}
 
 /** Manages the Klass segment of one PJH instance. */

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <exception>
-#include <thread>
 
 #include "pjh/klass_segment.hh"
 #include "util/logging.hh"
@@ -18,15 +18,6 @@ struct RootJournalEntry
 {
     Word slotIndex;  ///< name-table slot
     Word destOffset; ///< new value, as a data-heap offset
-};
-
-/** One parallel-mark worker's claimed-object stack. Thieves lock the
- * owner's mutex and take the coldest half from the bottom. */
-struct MarkWorker
-{
-    std::mutex mu;
-    std::vector<Addr> stack;
-    std::uint64_t marked = 0;
 };
 
 std::uint64_t
@@ -538,24 +529,6 @@ PjhGc::isFillerRef(Addr ref) const
 }
 
 void
-PjhGc::markRef(Addr ref)
-{
-    if (ref == kNullAddr || !h_.containsData(ref))
-        return;
-    if (h_.marks_.isMarked(ref))
-        return;
-    // Filler space (retired TLAB tails, repaired gaps) is never
-    // user-reachable; a stale volatile slot pointing at it must not
-    // resurrect it.
-    if (isFillerRef(ref))
-        return;
-    Oop obj(ref);
-    h_.marks_.markObject(ref, pjhRawObjectSize(obj));
-    ++markedCount_;
-    markStack_.push_back(ref);
-}
-
-void
 PjhGc::visitDramSlots(const SlotVisitor &visitor)
 {
     if (!vh_)
@@ -564,172 +537,137 @@ PjhGc::visitDramSlots(const SlotVisitor &visitor)
     vh_->forEachObject([&](Oop o) { o.forEachRefSlot(visitor); });
 }
 
-void
-PjhGc::markPhase()
+std::vector<Addr>
+PjhGc::snapshotRoots()
 {
-    h_.marks_.clearAll();
-    h_.regionBits_.clearAll();
-    markedCount_ = 0;
-
-    unsigned workers = h_.gcThreads();
-    if (workers > 1) {
-        parallelMark(workers);
-        return;
-    }
-
-    auto root_visitor = [this](Addr slot) { markRef(loadWord(slot)); };
-
+    std::vector<Addr> roots;
     h_.names_.forEach([&](NameEntry &e) {
-        if (e.kind == static_cast<Word>(NameKind::kRoot))
-            markRef(e.value);
+        if (e.kind == static_cast<Word>(NameKind::kRoot) &&
+            e.value != kNullAddr)
+            roots.push_back(e.value);
     });
-    visitDramSlots(root_visitor);
-
-    while (!markStack_.empty()) {
-        Oop obj(markStack_.back());
-        markStack_.pop_back();
-        pjhRawForEachRefSlot(obj, root_visitor);
-    }
+    visitDramSlots([&](Addr slot) {
+        Addr v = loadWord(slot);
+        if (v != kNullAddr)
+            roots.push_back(v);
+    });
+    return roots;
 }
 
-void
-PjhGc::parallelMark(unsigned num_workers)
+std::uint64_t
+PjhGc::trace(const std::vector<Addr> &roots)
 {
-    // DRAM root slots are enumerated once (the volatile-side visitors
-    // are not range-addressable) and striped across workers, like the
-    // name-table index space.
-    std::vector<Addr> dram_slots;
-    visitDramSlots([&](Addr slot) { dram_slots.push_back(slot); });
-
-    std::vector<MarkWorker> workers(num_workers);
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<unsigned> roots_done{0};
-    std::atomic<bool> failed{false};
-
-    // Claim an object for worker @p me: the CAS on the start bit
-    // guarantees exactly one worker pushes it.
-    auto claim = [&](Addr ref, MarkWorker &me) {
-        if (ref == kNullAddr || !h_.containsData(ref))
-            return;
-        if (isFillerRef(ref))
-            return;
-        Oop obj(ref);
-        std::size_t size = pjhRawObjectSize(obj);
-        if (!h_.marks_.tryMarkObject(ref, size))
-            return;
-        ++me.marked;
-        pending.fetch_add(1, std::memory_order_acq_rel);
-        std::lock_guard<std::mutex> g(me.mu);
-        me.stack.push_back(ref);
-    };
-
-    std::size_t name_cap = h_.names_.capacity();
-    std::size_t n_dram = dram_slots.size();
-    std::mutex err_mu;
+    const unsigned n = std::max(1u, h_.gcThreads());
+    // Shared state, under mu: the hand-off list, the idle count and
+    // the end-of-trace flag. Each worker's own stack is unlocked.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<Addr> shared;
+    unsigned idle = 0;
+    bool done = false;
     std::exception_ptr err;
+    // Raised by a worker about to idle; the first busy worker to see
+    // it hands over half its stack. Read once per scanned object, so
+    // the hot loop takes no lock.
+    std::atomic<bool> hungry{false};
+    std::atomic<std::uint64_t> marked{0};
 
-    auto body = [&](unsigned wi) {
-        MarkWorker &me = workers[wi];
-        // Root stripe 1: name-table slots [lo, hi).
-        std::size_t lo = name_cap * wi / num_workers;
-        std::size_t hi = name_cap * (wi + 1) / num_workers;
-        for (std::size_t i = lo; i < hi; ++i) {
-            NameEntry *e = h_.names_.entryAt(i);
-            if (e->state == NameEntry::kValid &&
-                e->kind == static_cast<Word>(NameKind::kRoot))
-                claim(e->value, me);
-        }
-        // Root stripe 2: pre-collected DRAM slots.
-        std::size_t dlo = n_dram * wi / num_workers;
-        std::size_t dhi = n_dram * (wi + 1) / num_workers;
-        for (std::size_t i = dlo; i < dhi; ++i)
-            claim(loadWord(dram_slots[i]), me);
-        roots_done.fetch_add(1, std::memory_order_acq_rel);
-
-        // Trace: drain the local stack, steal when empty. Workers
-        // may only exit once every root stripe is scanned and no
-        // claimed object is still unscanned (pending == 0).
-        for (;;) {
-            Addr obj = kNullAddr;
-            {
-                std::lock_guard<std::mutex> g(me.mu);
-                if (!me.stack.empty()) {
-                    obj = me.stack.back();
-                    me.stack.pop_back();
-                }
+    auto work = [&](unsigned wi) {
+        std::vector<Addr> stack;
+        std::uint64_t mine = 0;
+        // Claim @p ref onto this worker's stack. The atomic
+        // marked-test comes before the header read: a ref loaded from
+        // a slot mutators are writing may point at an object
+        // allocated during the cycle (born black or shaded on store),
+        // whose header this thread has no happens-before edge to. An
+        // unmarked object predates the snapshot and is fully visible.
+        // Filler space (retired TLAB tails, repaired gaps) is never
+        // user-reachable; a stale volatile slot pointing at it must
+        // not resurrect it.
+        auto claim = [&](Addr ref) {
+            if (ref == kNullAddr || !h_.containsData(ref) ||
+                h_.marks_.isMarkedAtomic(ref) || isFillerRef(ref))
+                return;
+            if (h_.marks_.tryMarkObject(ref, pjhRawObjectSize(Oop(ref)))) {
+                ++mine;
+                stack.push_back(ref);
             }
-            if (obj == kNullAddr) {
-                for (unsigned t = 1; t < num_workers && obj == kNullAddr;
-                     ++t) {
-                    MarkWorker &victim =
-                        workers[(wi + t) % num_workers];
-                    std::vector<Addr> loot;
+        };
+        // Refill an empty stack from the shared list, else from the
+        // SATB buffer (its entries are already claimed; only their
+        // children need scanning), else idle. False once every worker
+        // is idle: nothing is left to trace.
+        auto refill = [&]() {
+            std::unique_lock<std::mutex> lk(mu);
+            for (;;) {
+                if (done)
+                    return false;
+                if (!shared.empty()) {
+                    stack.swap(shared);
+                    return true;
+                }
+                {
+                    std::lock_guard<std::mutex> g(h_.satbMu_);
+                    stack.swap(h_.satbBuffer_);
+                }
+                if (!stack.empty())
+                    return true;
+                if (++idle == n) {
+                    done = true;
+                    cv.notify_all();
+                    return false;
+                }
+                hungry.store(true, std::memory_order_relaxed);
+                cv.wait(lk);
+                --idle;
+            }
+        };
+
+        for (std::size_t i = roots.size() * wi / n;
+             i < roots.size() * (wi + 1) / n; ++i)
+            claim(roots[i]);
+        do {
+            while (!stack.empty()) {
+                Oop obj(stack.back());
+                stack.pop_back();
+                pjhRawForEachRefSlot(
+                    obj, [&](Addr slot) { claim(loadWord(slot)); });
+                if (stack.size() > 1 &&
+                    hungry.load(std::memory_order_relaxed) &&
+                    hungry.exchange(false, std::memory_order_relaxed)) {
+                    // Share the oldest half: nearest the roots, so the
+                    // likeliest to head large subgraphs.
+                    auto half = stack.begin() +
+                                static_cast<std::ptrdiff_t>(stack.size() / 2);
                     {
-                        std::lock_guard<std::mutex> g(victim.mu);
-                        if (!victim.stack.empty()) {
-                            std::size_t take =
-                                (victim.stack.size() + 1) / 2;
-                            loot.assign(victim.stack.begin(),
-                                        victim.stack.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                take));
-                            victim.stack.erase(
-                                victim.stack.begin(),
-                                victim.stack.begin() +
-                                    static_cast<std::ptrdiff_t>(take));
-                        }
+                        std::lock_guard<std::mutex> g(mu);
+                        shared.insert(shared.end(), stack.begin(), half);
                     }
-                    if (!loot.empty()) {
-                        obj = loot.back();
-                        loot.pop_back();
-                        if (!loot.empty()) {
-                            std::lock_guard<std::mutex> g(me.mu);
-                            me.stack.insert(me.stack.end(),
-                                            loot.begin(), loot.end());
-                        }
-                    }
+                    cv.notify_all();
+                    stack.erase(stack.begin(), half);
                 }
             }
-            if (obj != kNullAddr) {
-                pjhRawForEachRefSlot(Oop(obj), [&](Addr slot) {
-                    claim(loadWord(slot), me);
-                });
-                pending.fetch_sub(1, std::memory_order_acq_rel);
-                continue;
-            }
-            if (failed.load(std::memory_order_acquire))
-                break;
-            if (roots_done.load(std::memory_order_acquire) ==
-                    num_workers &&
-                pending.load(std::memory_order_acquire) == 0)
-                break;
-            std::this_thread::yield();
-        }
+        } while (refill());
+        marked.fetch_add(mine, std::memory_order_relaxed);
     };
 
-    auto guarded = [&](unsigned wi) {
+    h_.gcPool_.run(n, [&](unsigned wi) {
         try {
-            body(wi);
+            work(wi);
         } catch (...) {
-            {
-                std::lock_guard<std::mutex> g(err_mu);
-                if (!err)
-                    err = std::current_exception();
-            }
-            // Marking performs no persistence events, so failures
-            // here are programming errors (panic/fatal throw); the
-            // flag lets sibling workers exit without touching the
-            // pending counter, which they may still be decrementing.
-            failed.store(true, std::memory_order_release);
+            // Marking performs no persistence events, so a throw here
+            // is a programming error (panic/fatal); end the trace so
+            // idle peers return.
+            std::lock_guard<std::mutex> g(mu);
+            if (!err)
+                err = std::current_exception();
+            done = true;
+            cv.notify_all();
         }
-    };
-
-    h_.gcPool_.run(num_workers, guarded);
+    });
     if (err)
         std::rethrow_exception(err);
-
-    for (const MarkWorker &w : workers)
-        markedCount_ += w.marked;
+    return marked.load(std::memory_order_relaxed);
 }
 
 void
@@ -751,29 +689,85 @@ PjhGc::fixVolatileSide(const PjhCompactor &compactor)
 }
 
 void
-PjhGc::collect()
+PjhGc::collect(bool concurrent)
 {
     NvmDevice &dev = h_.device();
     PjhMetadata *meta = h_.meta_;
-    unsigned workers = h_.gcThreads();
 
-    // --- Mark, then persist the heap sketch. -------------------------
-    std::uint64_t t_mark = gcNowNs();
-    markPhase();
+    // Lift the safepoint on every exit path: a SimulatedCrash
+    // mid-cycle must not strand mutators spinning in waitWhilePaused
+    // on a phase nobody will ever clear.
+    struct PhaseReset
+    {
+        PjhHeap &h;
+        ~PhaseReset()
+        {
+            h.gcPhase_.store(static_cast<unsigned>(GcPhase::kIdle),
+                             std::memory_order_seq_cst);
+        }
+    } phase_reset{h_};
+
+    // --- First safepoint: arm the epoch record, snapshot the roots. --
+    std::uint64_t t0 = gcNowNs();
+    h_.pauseMutators();
+    // Durable marking-epoch record, armed before any bitmap line of
+    // this cycle can reach media: recovery finding it without
+    // gcInProgress knows the bitmaps may be torn and discards the
+    // cycle (see PjhMetadata::gcMarkingActive).
+    meta->gcMarkingActive = 1;
+    meta->gcMarkEpoch += 1;
+    dev.flush(reinterpret_cast<Addr>(&meta->gcMarkingActive),
+              2 * sizeof(Word));
+    dev.fence();
+    h_.marks_.clearAll();
+    h_.regionBits_.clearAll();
+    h_.shadeCount_.store(0, std::memory_order_relaxed);
+    h_.bornBlack_.store(0, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> g(h_.satbMu_);
+        h_.satbBuffer_.clear();
+    }
+    std::vector<Addr> roots = snapshotRoots();
+
+    // --- Trace; a concurrent cycle releases mutators meanwhile. -----
+    if (concurrent)
+        h_.gcPhase_.store(static_cast<unsigned>(GcPhase::kMarking),
+                          std::memory_order_seq_cst);
+    std::uint64_t t_trace = gcNowNs();
+    std::uint64_t marked = trace(roots);
+
+    // --- Remark safepoint: fresh roots plus the SATB residue. -------
+    // With mutators drained the fixpoint is exact. Root slots may have
+    // been written since the snapshot: stored values were shaded, but
+    // a slot filled from a pre-snapshot local needs this rescan. The
+    // residue drains through the tracer's refill, like any SATB batch.
+    std::uint64_t t_remark = gcNowNs();
+    h_.pauseMutators();
+    marked += trace(snapshotRoots());
     Addr base = reinterpret_cast<Addr>(dev.base());
     dev.flush(base + meta->markStartOff, meta->markBytes);
     dev.flush(base + meta->markLiveOff, meta->markBytes);
     dev.flush(base + meta->regionBitmapOff, meta->regionBitmapBytes);
     dev.fence();
-    h_.mutableStats().lastGcMarkNs = gcNowNs() - t_mark;
+    std::uint64_t t_marked = gcNowNs();
 
-    h_.mutableStats().lastGcCompactNs =
-        commitAndCompact(workers, /*concurrent=*/false);
-    persistCycleStats(markedCount_, 0, 0, 0, 0);
+    PjhStats &st = h_.mutableStats();
+    st.lastGcMarkNs = t_marked - t0;
+    st.lastGcCompactNs = commitAndCompact(h_.gcThreads());
+
+    std::uint64_t shaded = h_.shadeCount_.load(std::memory_order_relaxed);
+    std::uint64_t born = h_.bornBlack_.load(std::memory_order_relaxed);
+    std::uint64_t conc_ns = concurrent ? t_remark - t_trace : 0;
+    persistCycleStats(marked + shaded + born, conc_ns,
+                      concurrent ? t_marked - t_remark : 0, shaded,
+                      shaded + born);
+    // Mutator-visible stop time: the whole cycle, less the first trace
+    // when mutators ran through it.
+    st.lastGcPauseNs = gcNowNs() - t0 - conc_ns;
 }
 
 std::uint64_t
-PjhGc::commitAndCompact(unsigned workers, bool concurrent)
+PjhGc::commitAndCompact(unsigned workers)
 {
     NvmDevice &dev = h_.device();
     PjhMetadata *meta = h_.meta_;
@@ -795,17 +789,14 @@ PjhGc::commitAndCompact(unsigned workers, bool concurrent)
     meta->gcInProgress = 1;
     dev.persist(reinterpret_cast<Addr>(&meta->gcInProgress),
                 sizeof(Word));
-    if (concurrent) {
-        // The snapshot is committed: compaction owns recovery from
-        // here (gcInProgress wins over gcMarkingActive on attach), so
-        // the marking-epoch record retires. Strictly after the
-        // gcInProgress persist — the reverse order would leave a
-        // crash window where neither flag is set over a half-moved
-        // heap.
-        meta->gcMarkingActive = 0;
-        dev.persist(reinterpret_cast<Addr>(&meta->gcMarkingActive),
-                    sizeof(Word));
-    }
+    // The snapshot is committed: compaction owns recovery from here
+    // (gcInProgress wins over gcMarkingActive on attach), so the
+    // marking-epoch record retires. Strictly after the gcInProgress
+    // persist — the reverse order would leave a crash window where
+    // neither flag is set over a half-moved heap.
+    meta->gcMarkingActive = 0;
+    dev.persist(reinterpret_cast<Addr>(&meta->gcMarkingActive),
+                sizeof(Word));
 
     // --- Compact (slice-parallel). -----------------------------------
     std::uint64_t t_compact = gcNowNs();
@@ -847,305 +838,6 @@ PjhGc::persistCycleStats(std::uint64_t marked, std::uint64_t conc_ns,
     st.lastGcRemarkNs = remark_ns;
     st.lastGcShaded = shaded;
     st.lastGcFloating = floating;
-}
-
-// ---------------------------------------------------------------------
-// Concurrent SATB cycle
-// ---------------------------------------------------------------------
-
-void
-PjhGc::pauseMutators()
-{
-    h_.gcPhase_.store(static_cast<unsigned>(GcPhase::kPaused),
-                      std::memory_order_seq_cst);
-    while (h_.allocsInFlight_.load(std::memory_order_seq_cst) != 0 ||
-           h_.rootOpsInFlight_.load(std::memory_order_seq_cst) != 0) {
-        // Die as the simulated power cut rather than wait for a
-        // mutator the injector already killed mid-bracket.
-        CrashInjector *inj = h_.device().injector();
-        if (inj && inj->tripped())
-            throw SimulatedCrash();
-        std::this_thread::yield();
-    }
-}
-
-void
-PjhGc::traceConcurrent(unsigned num_workers)
-{
-    std::vector<MarkWorker> workers(num_workers);
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<unsigned> roots_done{0};
-    std::atomic<bool> failed{false};
-
-    // Claim for worker @p me. Unlike the STW claim, the atomic
-    // marked-test comes *before* the header read: refs loaded from
-    // slots mutators are actively writing may point at objects
-    // allocated during the cycle (born black / shaded on store),
-    // whose headers this thread has no happens-before edge to. An
-    // unmarked object is pre-snapshot and fully visible.
-    auto claim = [&](Addr ref, MarkWorker &me) {
-        if (ref == kNullAddr || !h_.containsData(ref))
-            return;
-        if (h_.marks_.isMarkedAtomic(ref))
-            return;
-        if (isFillerRef(ref))
-            return;
-        Oop obj(ref);
-        std::size_t size = pjhRawObjectSize(obj);
-        if (!h_.marks_.tryMarkObject(ref, size))
-            return;
-        ++me.marked;
-        pending.fetch_add(1, std::memory_order_acq_rel);
-        std::lock_guard<std::mutex> g(me.mu);
-        me.stack.push_back(ref);
-    };
-
-    std::size_t n_roots = snapshotRoots_.size();
-    std::mutex err_mu;
-    std::exception_ptr err;
-
-    auto body = [&](unsigned wi) {
-        MarkWorker &me = workers[wi];
-        // Root stripe: snapshot values captured at the initial
-        // safepoint (already filtered to non-null).
-        std::size_t lo = n_roots * wi / num_workers;
-        std::size_t hi = n_roots * (wi + 1) / num_workers;
-        for (std::size_t i = lo; i < hi; ++i)
-            claim(snapshotRoots_[i], me);
-        roots_done.fetch_add(1, std::memory_order_acq_rel);
-
-        // Trace: local stack, then steal-half, then drain the SATB
-        // buffer mutators are filling. Exiting with a non-empty SATB
-        // buffer is benign — the remark safepoint sweeps the residue;
-        // exiting with pending != 0 is not (a claimed object would
-        // never be scanned), hence the termination condition.
-        for (;;) {
-            Addr obj = kNullAddr;
-            {
-                std::lock_guard<std::mutex> g(me.mu);
-                if (!me.stack.empty()) {
-                    obj = me.stack.back();
-                    me.stack.pop_back();
-                }
-            }
-            if (obj == kNullAddr) {
-                for (unsigned t = 1; t < num_workers && obj == kNullAddr;
-                     ++t) {
-                    MarkWorker &victim =
-                        workers[(wi + t) % num_workers];
-                    std::vector<Addr> loot;
-                    {
-                        std::lock_guard<std::mutex> g(victim.mu);
-                        if (!victim.stack.empty()) {
-                            std::size_t take =
-                                (victim.stack.size() + 1) / 2;
-                            loot.assign(victim.stack.begin(),
-                                        victim.stack.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                take));
-                            victim.stack.erase(
-                                victim.stack.begin(),
-                                victim.stack.begin() +
-                                    static_cast<std::ptrdiff_t>(take));
-                        }
-                    }
-                    if (!loot.empty()) {
-                        obj = loot.back();
-                        loot.pop_back();
-                        if (!loot.empty()) {
-                            std::lock_guard<std::mutex> g(me.mu);
-                            me.stack.insert(me.stack.end(),
-                                            loot.begin(), loot.end());
-                        }
-                    }
-                }
-            }
-            if (obj == kNullAddr) {
-                // SATB entries are already claimed (the barrier owns
-                // the CAS); only their children need scanning, so
-                // they enter the pending protocol here.
-                std::vector<Addr> satb;
-                {
-                    std::lock_guard<std::mutex> g(h_.satbMu_);
-                    satb.swap(h_.satbBuffer_);
-                }
-                if (!satb.empty()) {
-                    pending.fetch_add(satb.size(),
-                                      std::memory_order_acq_rel);
-                    obj = satb.back();
-                    satb.pop_back();
-                    if (!satb.empty()) {
-                        std::lock_guard<std::mutex> g(me.mu);
-                        me.stack.insert(me.stack.end(), satb.begin(),
-                                        satb.end());
-                    }
-                }
-            }
-            if (obj != kNullAddr) {
-                pjhRawForEachRefSlot(Oop(obj), [&](Addr slot) {
-                    claim(loadWord(slot), me);
-                });
-                pending.fetch_sub(1, std::memory_order_acq_rel);
-                continue;
-            }
-            if (failed.load(std::memory_order_acquire))
-                break;
-            if (roots_done.load(std::memory_order_acquire) ==
-                    num_workers &&
-                pending.load(std::memory_order_acquire) == 0)
-                break;
-            std::this_thread::yield();
-        }
-    };
-
-    auto guarded = [&](unsigned wi) {
-        try {
-            body(wi);
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> g(err_mu);
-                if (!err)
-                    err = std::current_exception();
-            }
-            failed.store(true, std::memory_order_release);
-        }
-    };
-
-    h_.gcPool_.run(num_workers, guarded);
-    if (err)
-        std::rethrow_exception(err);
-
-    for (const MarkWorker &w : workers)
-        markedCount_ += w.marked;
-}
-
-void
-PjhGc::remark()
-{
-    // Mutators are drained, so this runs single-threaded against a
-    // quiesced heap — the plain STW marking machinery applies.
-    //
-    // 1. SATB residue the markers never drained: entries are already
-    //    marked, only their children need scanning.
-    {
-        std::lock_guard<std::mutex> g(h_.satbMu_);
-        for (Addr ref : h_.satbBuffer_)
-            markStack_.push_back(ref);
-        h_.satbBuffer_.clear();
-    }
-    // 2. Current roots, re-enumerated fresh: name-table entries and
-    //    DRAM slots may have been written since the snapshot (new
-    //    values were insertion-shaded, but a slot filled from a
-    //    pre-snapshot local needs this rescan).
-    auto root_visitor = [this](Addr slot) { markRef(loadWord(slot)); };
-    h_.names_.forEach([&](NameEntry &e) {
-        if (e.kind == static_cast<Word>(NameKind::kRoot))
-            markRef(e.value);
-    });
-    visitDramSlots(root_visitor);
-    // 3. Fixpoint.
-    while (!markStack_.empty()) {
-        Oop obj(markStack_.back());
-        markStack_.pop_back();
-        pjhRawForEachRefSlot(obj, root_visitor);
-    }
-}
-
-void
-PjhGc::collectConcurrent()
-{
-    NvmDevice &dev = h_.device();
-    PjhMetadata *meta = h_.meta_;
-    unsigned workers = std::max(1u, h_.gcThreads());
-
-    // Lift the safepoint (and the ownership flag) on every exit path:
-    // a SimulatedCrash mid-cycle must not strand mutators spinning in
-    // waitWhilePaused on a phase nobody will ever clear.
-    struct PhaseReset
-    {
-        PjhHeap &h;
-        ~PhaseReset()
-        {
-            h.gcActive_.store(false, std::memory_order_seq_cst);
-            h.gcPhase_.store(static_cast<unsigned>(GcPhase::kIdle),
-                             std::memory_order_seq_cst);
-        }
-    } phase_reset{h_};
-
-    // --- Initial safepoint: arm the epoch record, snapshot roots. ---
-    std::uint64_t t0 = gcNowNs();
-    pauseMutators();
-    h_.gcActive_.store(true, std::memory_order_seq_cst);
-
-    h_.marks_.clearAll();
-    h_.regionBits_.clearAll();
-    markedCount_ = 0;
-    h_.shadeCount_.store(0, std::memory_order_relaxed);
-    h_.bornBlack_.store(0, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> g(h_.satbMu_);
-        h_.satbBuffer_.clear();
-    }
-
-    // Durable marking-epoch record, armed before any bitmap line of
-    // this cycle can reach media: recovery finding it without
-    // gcInProgress knows the bitmaps may be torn and discards the
-    // cycle (see PjhMetadata::gcMarkingActive).
-    meta->gcMarkingActive = 1;
-    meta->gcMarkEpoch += 1;
-    dev.flush(reinterpret_cast<Addr>(&meta->gcMarkingActive),
-              2 * sizeof(Word));
-    dev.fence();
-
-    // Snapshot root *values*, not slot addresses: the volatile side
-    // keeps running under the concurrent trace, and its own GC may
-    // move the DRAM objects those slots live in.
-    snapshotRoots_.clear();
-    h_.names_.forEach([&](NameEntry &e) {
-        if (e.kind == static_cast<Word>(NameKind::kRoot) &&
-            e.value != kNullAddr)
-            snapshotRoots_.push_back(e.value);
-    });
-    visitDramSlots([&](Addr slot) {
-        Addr v = loadWord(slot);
-        if (v != kNullAddr)
-            snapshotRoots_.push_back(v);
-    });
-
-    // --- Concurrent trace: markers race mutators. -------------------
-    h_.gcPhase_.store(static_cast<unsigned>(GcPhase::kMarking),
-                      std::memory_order_seq_cst);
-    std::uint64_t initial_pause_ns = gcNowNs() - t0;
-    std::uint64_t t_conc = gcNowNs();
-    traceConcurrent(workers);
-    std::uint64_t conc_ns = gcNowNs() - t_conc;
-
-    // --- Final safepoint: remark to fixpoint, persist the sketch. ---
-    std::uint64_t t_remark = gcNowNs();
-    pauseMutators();
-    remark();
-    Addr base = reinterpret_cast<Addr>(dev.base());
-    dev.flush(base + meta->markStartOff, meta->markBytes);
-    dev.flush(base + meta->markLiveOff, meta->markBytes);
-    dev.flush(base + meta->regionBitmapOff, meta->regionBitmapBytes);
-    dev.fence();
-    std::uint64_t remark_ns = gcNowNs() - t_remark;
-    h_.mutableStats().lastGcMarkNs = conc_ns + remark_ns;
-
-    // --- Commit + compact: same tail as the STW cycle. --------------
-    h_.mutableStats().lastGcCompactNs =
-        commitAndCompact(workers, /*concurrent=*/true);
-
-    std::uint64_t shaded =
-        h_.shadeCount_.load(std::memory_order_relaxed);
-    std::uint64_t born = h_.bornBlack_.load(std::memory_order_relaxed);
-    persistCycleStats(markedCount_ + shaded + born, conc_ns, remark_ns,
-                      shaded, shaded + born);
-    // Mutator-visible stop time: initial pause plus remark-to-finish
-    // (mutators stay paused through compaction; PhaseReset lifts the
-    // safepoint when we return).
-    h_.mutableStats().lastGcPauseNs =
-        initial_pause_ns + (gcNowNs() - t_remark);
 }
 
 } // namespace espresso

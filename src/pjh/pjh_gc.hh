@@ -26,14 +26,20 @@
  *     repair the volatile side (handles, DRAM objects) — all
  *     recomputable.
  *
+ * A cycle is one sequence whatever the mode: pause mutators, arm the
+ * durable marking-epoch record, snapshot the root values, trace,
+ * remark (fresh roots plus the SATB residue), persist the bitmaps,
+ * then commit and compact. Stop-the-world cycles hold the pause
+ * throughout; concurrent cycles release mutators for the first trace
+ * only (see PjhGc::collect).
+ *
  * Both phases are region-parallel (the paper's §4.2 bitmap design
  * permits region-granular compaction):
  *
- *  - **Mark** runs gcThreads workers with per-worker mark stacks and
- *    work stealing. An object is claimed by an atomic CAS on its
- *    start bit, so it is pushed onto exactly one worker's stack.
- *    Roots are partitioned across workers: each scans a stripe of
- *    name-table slots and a stripe of the pre-collected DRAM slots.
+ *  - **Mark** is one tracer on gcThreads pool workers (a pool of one
+ *    when gcThreads == 1). An object is claimed by an atomic CAS on
+ *    its start bit, so it lands on exactly one worker's private
+ *    stack. The trace and the remark are two calls of it.
  *  - **Compact** partitions the used regions into up to gcThreads
  *    slices balanced by live bytes. Each slice packs its live data
  *    into its own region span (see RegionTable::buildSummary's
@@ -158,40 +164,42 @@ class PjhGc
   public:
     PjhGc(PjhHeap &heap, VolatileHeap *volatile_heap);
 
-    /** Classic stop-the-world cycle (quiesced mutators). */
-    void collect();
-
     /**
-     * Concurrent SATB cycle (see PjhHeap::setGcConcurrent): initial
-     * safepoint snapshots the roots and arms the durable
-     * marking-epoch record; marking then overlaps mutators (write
-     * barrier shades into the SATB buffer, allocations are born
-     * black); a final safepoint remarks to fixpoint, commits the
-     * snapshot (bitmaps + slice plan + gcInProgress), and runs the
-     * same sliced compaction as the STW path. A crash before the
-     * commit point discards the cycle on attach; after it, recovery
-     * resumes the compaction exactly as for an STW crash.
+     * Run one cycle. The safepoint (kPaused) holds from start to
+     * finish, except that with @p concurrent mutators are released
+     * (kMarking) for the first trace: the write barrier then shades
+     * overwritten referents into the SATB buffer and allocations are
+     * born black. The epoch record is armed at the first safepoint
+     * and retired once gcInProgress commits the snapshot, so a crash
+     * before that point discards the cycle on attach and a crash
+     * after it resumes the compaction.
      */
-    void collectConcurrent();
+    void collect(bool concurrent);
 
   private:
-    void markPhase();
-    void parallelMark(unsigned num_workers);
-    /** Trace from the snapshot roots while mutators run, draining
-     * the heap's SATB buffer as it fills. */
-    void traceConcurrent(unsigned num_workers);
-    /** Safepoint fixpoint: rescan all roots + drain the SATB residue
-     * (mutators drained, so the fixpoint is exact). */
-    void remark();
-    /** Flip to kPaused and drain mutator brackets. */
-    void pauseMutators();
-    void markRef(Addr ref);
+    /** Current root *values*, non-null: name-table roots and DRAM
+     * slots. Values, not slot addresses — the volatile side keeps
+     * running under a concurrent trace and may move its slots. */
+    std::vector<Addr> snapshotRoots();
+
+    /**
+     * Mark everything reachable from the root values @p roots and
+     * from the already-claimed (grey) objects in the heap's SATB
+     * buffer, on gcThreads() pool workers; returns the objects this
+     * call claimed. Each worker keeps a private stack, hands half of
+     * it to a shared list only while a peer is idle, and drains the
+     * SATB buffer before going idle. Entries the barrier queues after
+     * the last worker idles are left for the next call (the remark).
+     */
+    std::uint64_t trace(const std::vector<Addr> &roots);
+
     bool isFillerRef(Addr ref) const;
     void visitDramSlots(const SlotVisitor &visitor);
     void fixVolatileSide(const PjhCompactor &compactor);
-    /** Shared tail: stale stamp, summary/plan/journal, compact,
-     * finish, volatile fixup. Returns the compact-phase ns. */
-    std::uint64_t commitAndCompact(unsigned workers, bool concurrent);
+    /** Stale stamp, summary/plan/journal, gcInProgress, retire the
+     * epoch record, compact, finish, volatile fixup. Returns the
+     * compact-phase ns. */
+    std::uint64_t commitAndCompact(unsigned workers);
     /** Persist the per-cycle stats block (gcLastMarked through
      * gcLastFloating, one flush range + fence) and mirror it into
      * PjhStats. STW cycles pass zeros for the concurrent fields so a
@@ -202,11 +210,6 @@ class PjhGc
 
     PjhHeap &h_;
     VolatileHeap *vh_;
-    std::vector<Addr> markStack_;
-    /** Root *values* captured at the initial safepoint (slot
-     * addresses can go stale while the volatile side runs). */
-    std::vector<Addr> snapshotRoots_;
-    std::uint64_t markedCount_ = 0;
 };
 
 } // namespace espresso

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pjh/pjh_gc.hh"
 #include "pjh/pjh_recovery.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace espresso {
@@ -44,34 +45,10 @@ nowNs()
             .count());
 }
 
-std::size_t
-tlabBytesFromEnv(std::size_t stored)
-{
-    if (const char *s = std::getenv("ESPRESSO_TLAB_BYTES")) {
-        long v = std::atol(s);
-        if (v > 0)
-            return alignUp(static_cast<std::size_t>(v), kWordSize);
-    }
-    return stored;
-}
-
 unsigned
 gcThreadsFromEnv()
 {
-    if (const char *s = std::getenv("ESPRESSO_GC_THREADS")) {
-        long v = std::atol(s);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return 1;
-}
-
-bool
-gcConcurrentFromEnv()
-{
-    if (const char *s = std::getenv("ESPRESSO_GC_CONCURRENT"))
-        return s[0] != '\0' && s[0] != '0';
-    return false;
+    return envUnsigned("ESPRESSO_GC_THREADS", 1);
 }
 
 /** RAII allocation-epoch bracket (see allocGuardEnter). */
@@ -133,7 +110,8 @@ PjhHeap::PjhHeap(NvmDevice *device, KlassRegistry *registry)
       serial_(g_heapSerial.fetch_add(1, std::memory_order_relaxed))
 {
     gcThreads_.store(gcThreadsFromEnv(), std::memory_order_relaxed);
-    gcConcurrent_.store(gcConcurrentFromEnv(), std::memory_order_relaxed);
+    gcConcurrent_.store(envFlag("ESPRESSO_GC_CONCURRENT", false),
+                        std::memory_order_relaxed);
 }
 
 void
@@ -147,39 +125,29 @@ PjhHeap::setGcThreads(unsigned n)
 }
 
 void
+PjhHeap::enterBracket(std::atomic<std::uint32_t> &in_flight,
+                      bool reentrant) const
+{
+    for (;;) {
+        in_flight.fetch_add(1, std::memory_order_seq_cst);
+        if (reentrant || gcPhase_.load(std::memory_order_seq_cst) !=
+                             static_cast<unsigned>(GcPhase::kPaused))
+            return;
+        // A safepoint is in force: back out so the collector's drain
+        // completes, wait it out, retry.
+        in_flight.fetch_sub(1, std::memory_order_seq_cst);
+        waitWhilePaused();
+    }
+}
+
+void
 PjhHeap::allocGuardEnter()
 {
     unsigned &depth = guardDepthClaim(this);
-    if (depth > 0) {
-        // Re-entrant: this thread already holds the epoch, so a
-        // pending safepoint is waiting on *us* — proceed even while
-        // kPaused instead of backing out (which would deadlock the
-        // collector's drain against our own outer bracket).
-        ++depth;
-        allocsInFlight_.fetch_add(1, std::memory_order_seq_cst);
-        return;
-    }
-    for (;;) {
-        allocsInFlight_.fetch_add(1, std::memory_order_seq_cst);
-        unsigned ph = gcPhase_.load(std::memory_order_seq_cst);
-        if (ph == static_cast<unsigned>(GcPhase::kPaused)) {
-            // A concurrent cycle's safepoint is in force: back out so
-            // the collector's drain completes, wait it out, retry.
-            allocsInFlight_.fetch_sub(1, std::memory_order_seq_cst);
-            waitWhilePaused();
-            continue;
-        }
-        if (ph == static_cast<unsigned>(GcPhase::kIdle) &&
-            gcActive_.load(std::memory_order_seq_cst)) {
-#ifndef NDEBUG
-            allocsInFlight_.fetch_sub(1, std::memory_order_seq_cst);
-            panic("PJH: pnew raced collect(); STW collections "
-                  "require quiesced mutators");
-#endif
-        }
-        depth = 1;
-        return;
-    }
+    // Re-entrant: this thread already holds the epoch, so a pending
+    // safepoint is waiting on *us* — proceed even while kPaused.
+    enterBracket(allocsInFlight_, depth > 0);
+    ++depth;
 }
 
 void
@@ -210,26 +178,35 @@ PjhHeap::rootOpGuardEnter() const
     // Inside this thread's own allocation epoch (a MutatorSection
     // bracketing a compound op) a pending safepoint waits for us, so
     // the root op proceeds even while kPaused — see allocGuardEnter.
-    const bool in_own_epoch = guardDepthFind(this) != nullptr;
-    for (;;) {
-        rootOpsInFlight_.fetch_add(1, std::memory_order_seq_cst);
-        if (in_own_epoch ||
-            gcPhase_.load(std::memory_order_seq_cst) !=
-                static_cast<unsigned>(GcPhase::kPaused)) {
-            // No STW check here: root reads legitimately probe shards
-            // that are STW-collecting (the fabric's fallback scan
-            // visits every member); that contract is the caller's.
-            return;
-        }
-        rootOpsInFlight_.fetch_sub(1, std::memory_order_seq_cst);
-        waitWhilePaused();
-    }
+    enterBracket(rootOpsInFlight_, guardDepthFind(this) != nullptr);
 }
 
 void
 PjhHeap::rootOpGuardExit() const
 {
     rootOpsInFlight_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void
+PjhHeap::pauseMutators()
+{
+    gcPhase_.store(static_cast<unsigned>(GcPhase::kPaused),
+                   std::memory_order_seq_cst);
+    // Drain to the calling thread's own bracket depth, not to zero: a
+    // collection run inside this thread's MutatorSection (directly,
+    // or triggered by allocation pressure) must not wait for that
+    // section to exit.
+    const unsigned *own = guardDepthFind(this);
+    const std::uint32_t mine = own ? *own : 0;
+    while (allocsInFlight_.load(std::memory_order_seq_cst) != mine ||
+           rootOpsInFlight_.load(std::memory_order_seq_cst) != 0) {
+        // Die as the simulated power cut rather than wait for a
+        // mutator the injector already killed mid-bracket.
+        CrashInjector *inj = dev_->injector();
+        if (inj && inj->tripped())
+            throw SimulatedCrash();
+        std::this_thread::yield();
+    }
 }
 
 void
@@ -284,24 +261,6 @@ PjhHeap::shadeFieldIfRef(Oop obj, std::uint32_t offset) const
     }
 }
 
-void
-PjhHeap::triggerGcOutsideGuard()
-{
-    // Step outside the allocation-epoch bracket for the triggered
-    // collection: this thread is no longer mid-allocation, and
-    // collect() would otherwise count it as a racing mutator.
-    // Re-enter even when the collection throws (simulated crash,
-    // panic) — the caller's AllocGuard unwinds too.
-    allocGuardExit();
-    try {
-        gcTrigger_();
-    } catch (...) {
-        allocGuardEnter();
-        throw;
-    }
-    allocGuardEnter();
-}
-
 PjhHeap::~PjhHeap() = default;
 
 void
@@ -324,7 +283,9 @@ PjhHeap::setupViews()
         meta_->dataSize / meta_->regionSize);
     undoLog_ = UndoLog(dev_, base + meta_->undoLogOff,
                        meta_->undoLogSize, dataBase_);
-    tlabBytes_ = tlabBytesFromEnv(meta_->tlabBytes);
+    tlabBytes_ = alignUp(envUnsigned("ESPRESSO_TLAB_BYTES",
+                                     static_cast<unsigned>(meta_->tlabBytes)),
+                         kWordSize);
     if (tlabBytes_ < ObjectLayout::kArrayHeaderSize)
         tlabBytes_ = PjhConfig().tlabSize;
 }
@@ -595,7 +556,7 @@ PjhHeap::carveChunk(ThreadTlab &t, std::size_t min_size)
         }
         if (!gcTrigger_ || attempt > 0)
             fatal("PJH: out of persistent memory");
-        triggerGcOutsideGuard();
+        gcTrigger_();
     }
 }
 
@@ -668,7 +629,7 @@ PjhHeap::allocSlotless(const Klass *pk, Addr image, std::uint64_t length,
         }
         if (!gcTrigger_ || attempt > 0)
             fatal("PJH: out of persistent memory");
-        triggerGcOutsideGuard();
+        gcTrigger_();
     }
 }
 
@@ -1122,44 +1083,25 @@ PjhHeap::zeroingScan()
 void
 PjhHeap::collect(VolatileHeap *volatile_heap)
 {
-    // Whole cycles are serialized: a mutator-triggered collect that
-    // lost the race blocks here (its allocation guard is released by
-    // triggerGcOutsideGuard, so the winner's safepoints still drain),
-    // then runs its own cycle against the freshly compacted heap.
-    std::lock_guard<std::mutex> cycle(gcCycleMu_);
-    std::uint64_t t0 = nowNs();
-
-    if (gcConcurrent()) {
-        // Concurrent SATB cycle: PjhGc drives the phase transitions
-        // and pause accounting itself. gcActive_ is raised only after
-        // the phase leaves kIdle so the STW panic branch in
-        // allocGuardEnter can never misfire on a concurrent cycle.
-        PjhGc gc(*this, volatile_heap);
-        gc.collectConcurrent();
-        ++stats_.collections;
-        return;
+    // Whole cycles are serialized: a second caller blocks here, then
+    // runs its own cycle against the freshly compacted heap. While it
+    // waits it steps out of its own brackets (a MutatorSection, or the
+    // allocation that triggered it) — the running cycle's drain would
+    // otherwise wait for this thread while this thread waits for it.
+    std::unique_lock<std::mutex> cycle(gcCycleMu_, std::try_to_lock);
+    if (!cycle.owns_lock()) {
+        unsigned *depth = guardDepthFind(this);
+        const unsigned held = depth ? std::exchange(*depth, 0u) : 0;
+        allocsInFlight_.fetch_sub(held, std::memory_order_seq_cst);
+        cycle.lock();
+        // No cycle runs while the lock is held: re-enter without
+        // waiting.
+        if (held > 0)
+            guardDepthClaim(this) = held;
+        allocsInFlight_.fetch_add(held, std::memory_order_seq_cst);
     }
-
-    // Quiescence check (see the header contract): flag the
-    // collection, then look for in-flight allocations. seq_cst on
-    // both sides guarantees a racing allocator and this collector
-    // cannot both miss each other.
-    gcActive_.store(true, std::memory_order_seq_cst);
-    struct ActiveReset
-    {
-        std::atomic<bool> &flag;
-        ~ActiveReset() { flag.store(false, std::memory_order_seq_cst); }
-    } reset{gcActive_};
-    if (allocsInFlight_.load(std::memory_order_seq_cst) != 0) {
-#ifndef NDEBUG
-        panic("PJH collect(): an allocation is in flight; collections "
-              "are stop-the-world and require quiesced mutators");
-#endif
-    }
-    PjhGc gc(*this, volatile_heap);
-    gc.collect();
+    PjhGc(*this, volatile_heap).collect(gcConcurrent());
     ++stats_.collections;
-    stats_.lastGcPauseNs = nowNs() - t0;
 }
 
 } // namespace espresso

@@ -85,6 +85,7 @@ struct PjhStats
     /** Mutator-visible stop time: the whole collection when STW, the
      * initial + remark/compact pauses when concurrent. */
     std::uint64_t lastGcPauseNs = 0;
+    /** Cycle start to persisted mark bitmaps (both traces). */
     std::uint64_t lastGcMarkNs = 0;
     std::uint64_t lastGcCompactNs = 0;
     std::uint64_t lastGcMarked = 0;
@@ -99,15 +100,16 @@ struct PjhStats
 };
 
 /**
- * Collection phase a mutator can observe (concurrent mode).
+ * Collection phase a mutator can observe.
  *
- *  - kIdle: no cycle (or an STW collection, which quiesces mutators
- *    by contract instead of by phase).
- *  - kMarking: snapshot-at-the-beginning marking overlaps mutators;
+ *  - kIdle: no cycle.
+ *  - kMarking: a concurrent cycle's first trace overlaps mutators;
  *    allocation, root, flush and ref-store APIs proceed under the
  *    write barrier.
- *  - kPaused: a brief safepoint (initial root snapshot, or the final
- *    remark + sliced compaction). Mutator APIs block until it lifts.
+ *  - kPaused: the safepoint — a whole STW cycle, or a concurrent
+ *    cycle's root snapshot and its remark + sliced compaction.
+ *    Mutator APIs block until it lifts, except inside the collecting
+ *    thread's own MutatorSection.
  */
 enum class GcPhase : unsigned
 {
@@ -157,11 +159,10 @@ class PjhHeap : public ExternalSpace
      * registered in the metadata's TLAB slot table, and every
      * allocation re-establishes a trailing filler over the chunk's
      * unused tail before the object header is persisted. Recovery
-     * therefore repairs at most one torn tail per TLAB. STW
-     * collections require the caller to ensure no thread allocates
-     * during collect(); in concurrent mode allocation overlaps
-     * marking (objects are born black) and blocks only during the
-     * cycle's brief safepoints.
+     * therefore repairs at most one torn tail per TLAB. Allocation
+     * waits out a collection's safepoint: the whole of an STW cycle,
+     * or a concurrent cycle's two brief pauses (in between, objects
+     * are born black).
      */
     /// @{
     Oop allocInstance(const Klass *k);
@@ -245,17 +246,15 @@ class PjhHeap : public ExternalSpace
      * Full persistent-space collection (System.gc() analog);
      * @p volatile_heap supplies DRAM→NVM roots (may be null).
      *
-     * STW mode precondition: mutators are quiesced — no thread may be
-     * inside an allocation (or start one) for the duration of the
-     * call. The allocation-epoch guard makes a racing allocator panic
-     * in debug builds; in release builds the precondition is the
-     * caller's responsibility (this documented contract).
-     *
-     * Concurrent mode (setGcConcurrent) drops that precondition:
-     * mutators may allocate and mutate throughout marking; they are
-     * only stopped for the initial snapshot and the remark+compact
-     * window (see the mode's contract above). Cycles are serialized;
-     * a second caller blocks, then runs its own full cycle.
+     * The cycle holds the mutator safepoint: allocation, root, flush
+     * and ref-store calls on this heap wait until it lifts — for the
+     * whole cycle in STW mode, for the root snapshot and the
+     * remark+compact window in concurrent mode (setGcConcurrent). The
+     * safepoint drains every MutatorSection but the caller's own, so
+     * collect() may run inside one; references that section holds
+     * are not roots and may move. Cycles are serialized; a second
+     * caller steps out of its own section while it blocks, then runs
+     * its own full cycle.
      */
     void collect(VolatileHeap *volatile_heap);
 
@@ -263,10 +262,11 @@ class PjhHeap : public ExternalSpace
      * @name GC parallelism knob
      *
      * Worker threads used by the persistent mark and compact phases.
-     * 1 (the default) is the classic serial stop-the-world path;
-     * higher values fan mark work and compaction slices out across
-     * threads, bounded by PjhMetadata::kMaxGcSlices. Defaults to
-     * ESPRESSO_GC_THREADS when set; passing 0 restores that default.
+     * 1 (the default) traces on a pool of one and compacts one global
+     * sliding slice; higher values fan mark work and compaction
+     * slices out across threads, bounded by
+     * PjhMetadata::kMaxGcSlices. Defaults to ESPRESSO_GC_THREADS when
+     * set; passing 0 restores that default.
      */
     /// @{
     unsigned
@@ -281,15 +281,15 @@ class PjhHeap : public ExternalSpace
     /**
      * @name Concurrent (SATB) collection mode
      *
-     * Off (the default), collect() is the classic stop-the-world
-     * cycle. On, collect() runs snapshot-at-the-beginning marking
-     * concurrently with mutators: a brief initial pause snapshots the
-     * roots and flips the marking phase, marker threads then race
-     * mutators under the deletion/insertion write barrier (see
-     * storeRef / setRoot / flushField), objects allocated during the
-     * cycle are born black, and only the final remark plus the sliced
+     * The one setting is whether collect() releases mutators
+     * (kMarking) during its first trace. Off (the default), the cycle
+     * holds the safepoint throughout. On, marking is
+     * snapshot-at-the-beginning: marker threads race mutators under
+     * the deletion/insertion write barrier (see storeRef / setRoot /
+     * flushField), objects allocated during the cycle are born black,
+     * and only the root snapshot and the remark plus the sliced
      * compaction stop mutators. Defaults to ESPRESSO_GC_CONCURRENT
-     * when set.
+     * ("0" or "1") when set.
      *
      * Contract while a concurrent cycle is marking:
      *  - reference mutations must go through storeRef /
@@ -316,7 +316,8 @@ class PjhHeap : public ExternalSpace
         gcConcurrent_.store(on, std::memory_order_relaxed);
     }
 
-    /** Phase observed by mutators; kIdle during STW collections. */
+    /** Phase observed by mutators: kPaused for a whole STW cycle,
+     * kPaused / kMarking / kPaused for a concurrent one. */
     GcPhase
     gcPhase() const
     {
@@ -333,15 +334,18 @@ class PjhHeap : public ExternalSpace
     }
 
     /**
-     * RAII mutator section: while held, a concurrent cycle cannot
-     * reach a safepoint (the collector's pause drains all sections
-     * first), so raw references stay valid across the bracketed
-     * compound operation. Cheap (one atomic inc/dec); may block
-     * briefly at entry while a safepoint is in force. Nests with
+     * RAII mutator section: while held, another thread's collection
+     * cannot reach a safepoint (the collector's pause drains all
+     * other sections first), so raw references stay valid across the
+     * bracketed compound operation. Cheap (one atomic inc/dec); may
+     * block at entry while a safepoint is in force. Nests with
      * itself and with the allocation guard: guarded ops (pnew,
      * setRoot, flushField, storeRef, ...) called inside a section
      * proceed even as a safepoint is being requested — the collector
-     * waits for the outermost bracket to exit.
+     * waits for the outermost bracket to exit. A collection this
+     * thread runs inside its own section (directly, or triggered by
+     * allocation pressure) does not wait for it, so references held
+     * across that call may move.
      */
     class MutatorSection
     {
@@ -360,19 +364,15 @@ class PjhHeap : public ExternalSpace
     /// @}
 
     /**
-     * @name Allocation-epoch guard (collect() quiescence check)
+     * @name Allocation-epoch guard (the safepoint drain)
      *
      * Every allocation brackets its heap-mutating window with
-     * enter/exit; an STW collect() raises the GC-active flag and
-     * checks the in-flight count. Both sides use seq_cst so at least
-     * one of a racing (allocator, collector) pair observes the other
-     * — the race then fails loudly (debug panic) instead of silently
-     * corrupting the heap. In release builds the check compiles to
-     * nothing beyond the counter and the documented precondition on
-     * collect() stands. In concurrent mode the same counter doubles
-     * as the safepoint drain: entry spins while the phase is kPaused,
-     * and the collector's pause waits for the count to reach zero.
-     * Public for the internal RAII bracket; not part of the user API.
+     * enter/exit. Entry spins while the phase is kPaused; the
+     * collector's pause flips the phase, then waits for the in-flight
+     * count to fall to its own thread's bracket depth. Both sides use
+     * seq_cst so a racing (mutator, collector) pair cannot both miss
+     * each other. Public for the internal RAII bracket; not part of
+     * the user API.
      */
     /// @{
     void allocGuardEnter();
@@ -381,11 +381,7 @@ class PjhHeap : public ExternalSpace
     /** True while a collect() owns this heap — lets a fabric
      * coordinator (or a test) observe a shard-local pause without
      * racing on the persistent in-collection flag. */
-    bool
-    collecting() const
-    {
-        return gcActive_.load(std::memory_order_acquire);
-    }
+    bool collecting() const { return gcPhase() != GcPhase::kIdle; }
     /// @}
 
     NvmDevice &device() { return *dev_; }
@@ -473,23 +469,29 @@ class PjhHeap : public ExternalSpace
     /** Clear and persist every TLAB slot (attach / post-GC). */
     void clearTlabSlots();
 
-    /** Invoke the GC trigger with the allocation-epoch guard
-     * released, restoring it even on an exception. */
-    void triggerGcOutsideGuard();
-
     /**
-     * @name Concurrent-marking internals (write barrier + safepoint)
+     * @name Collection internals (write barrier + safepoint)
      */
     /// @{
-    /** Root/flush-op bracket: like the allocation guard but without
-     * the STW debug panic — root reads legitimately probe shards that
-     * are STW-collecting (the fabric's fallback scan). Blocks while
-     * the phase is kPaused. Const: called from const read paths. */
+    /** Root/flush-op bracket: like the allocation guard, but tracks
+     * no re-entrancy depth of its own (it proceeds while kPaused only
+     * inside this thread's allocation epoch). Const: called from
+     * const read paths. */
     void rootOpGuardEnter() const;
     void rootOpGuardExit() const;
 
+    /** Count one bracket into @p in_flight, first waiting out a
+     * safepoint unless @p reentrant (the collector is waiting for
+     * this thread's outer bracket, so backing out would deadlock). */
+    void enterBracket(std::atomic<std::uint32_t> &in_flight,
+                      bool reentrant) const;
+
     /** Spin until the collector lifts the safepoint. */
     void waitWhilePaused() const;
+
+    /** Collector side: flip to kPaused, then wait until every bracket
+     * but the calling thread's own has exited. */
+    void pauseMutators();
 
     /**
      * SATB shade: claim @p ref in the mark bitmap and queue it for
@@ -559,12 +561,10 @@ class PjhHeap : public ExternalSpace
     WorkerPool gcPool_;
     /** Allocations currently inside their heap-mutating window. */
     std::atomic<std::uint32_t> allocsInFlight_{0};
-    /** True while collect() owns the heap. */
-    std::atomic<bool> gcActive_{false};
     /** Serializes whole collection cycles (a mutator-triggered
      * collect that lost the race simply runs after the winner). */
     std::mutex gcCycleMu_;
-    /** Concurrent-mode collection phase (GcPhase). */
+    /** Collection phase (GcPhase). */
     std::atomic<unsigned> gcPhase_{0};
     /** Root/flush ops currently inside their bracket. */
     mutable std::atomic<std::uint32_t> rootOpsInFlight_{0};

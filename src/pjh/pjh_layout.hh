@@ -199,18 +199,18 @@ struct PjhMetadata
      * raised so recovery rebuilds the identical slice-aware summary. */
     Word gcSliceCount;
 
-    /** @name Concurrent-marking epoch record
+    /** @name Marking epoch record
      *
-     * gcMarkingActive is persisted (flush+fence) *before* the first
-     * mark-bitmap line of a concurrent cycle is dirtied and cleared
-     * only after the cycle either commits its mark state (gcInProgress
-     * raised — compaction owns recovery from here) or finishes. The
+     * Every cycle, STW or concurrent, persists gcMarkingActive
+     * (flush+fence) *before* it dirties its first mark-bitmap line,
+     * and clears it right after it commits its mark state
+     * (gcInProgress raised — compaction owns recovery from here). The
      * recovery rule is therefore: gcInProgress set → the snapshot is
      * provably durable, resume the compaction; gcMarkingActive alone →
-     * the crash hit mutator/marker overlap, the bitmap may be torn,
-     * discard the cycle (clear bitmaps, bump gcMarkDiscards). */
+     * the crash hit marking, the bitmap may be torn, discard the cycle
+     * (clear bitmaps, bump gcMarkDiscards). */
     /// @{
-    Word gcMarkingActive; ///< 1 while a concurrent mark is in flight
+    Word gcMarkingActive; ///< 1 while a cycle is marking
     Word gcMarkEpoch;     ///< cycles started (concurrent or STW)
     Word gcMarkDiscards;  ///< cycles discarded by crash recovery
     /// @}

@@ -1,6 +1,7 @@
 /**
  * @file
- * Environment-variable knob parsing shared by the sharded layers.
+ * Strict environment-variable knob parsing, shared by every layer
+ * that reads an ESPRESSO_* knob.
  */
 
 #ifndef ESPRESSO_UTIL_ENV_HH
@@ -44,6 +45,26 @@ envUnsigned(const char *name, unsigned fallback)
         return fallback;
     }
     return static_cast<unsigned>(v);
+}
+
+/**
+ * Parse @p name as an on/off flag: "1" is on, "0" is off, unset is
+ * @p fallback. Anything else ("false", "off", "yes", "") is rejected
+ * with a one-line warning rather than guessed at: a first-character
+ * test would read "false" as on.
+ */
+inline bool
+envFlag(const char *name, bool fallback)
+{
+    const char *s = std::getenv(name);
+    if (!s)
+        return fallback;
+    if ((s[0] == '0' || s[0] == '1') && s[1] == '\0')
+        return s[0] == '1';
+    std::fprintf(stderr,
+                 "espresso: ignoring %s=\"%s\" (want 0 or 1); using %d\n",
+                 name, s, fallback ? 1 : 0);
+    return fallback;
 }
 
 } // namespace espresso

@@ -18,6 +18,10 @@ WorkerPool::run(unsigned n, const std::function<void(unsigned)> &fn)
 {
     if (n == 0)
         return;
+    if (n == 1) {
+        fn(0);
+        return;
+    }
     std::unique_lock<std::mutex> lock(mu_);
     while (threads_.size() < n) {
         unsigned idx = static_cast<unsigned>(threads_.size());

@@ -36,7 +36,8 @@ class WorkerPool
     /**
      * Run @p fn(0) .. @p fn(n-1) on pool threads and block until all
      * return. The pool grows to @p n threads on demand and never
-     * shrinks. @p fn must not throw (wrap bodies that can). Not
+     * shrinks; a round of one runs on the calling thread, skipping
+     * the hand-off. @p fn must not throw (wrap bodies that can). Not
      * reentrant: one run() at a time.
      */
     void run(unsigned n, const std::function<void(unsigned)> &fn);

@@ -2,14 +2,19 @@
  * @file
  * Persistent-space garbage collection (§4.2): liveness from root
  * table and DRAM roots, compaction correctness, reference fixup on
- * both sides of the heap boundary, timestamps, and reclamation.
+ * both sides of the heap boundary, timestamps, reclamation, and the
+ * mutator safepoint of both cycle modes.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/espresso.hh"
 #include "util/rng.hh"
@@ -516,6 +521,158 @@ TEST_F(PjhGcTest, SatbBarrierKeepsSnapshotAliveOneCycle)
     std::size_t live = 0;
     h_->forEachObject([&](Oop) { ++live; });
     EXPECT_EQ(live, 1u);
+}
+
+TEST_F(PjhGcTest, StwCollectionWaitsOutMutatorSections)
+{
+    // An STW cycle holds the safepoint from start to finish: a thread
+    // looping MutatorSection{pnew, flushObject, setRoot} waits each
+    // cycle out instead of racing it, and every root it published
+    // survives with the value it last stored.
+    h_->setGcConcurrent(false);
+    constexpr int kRoots = 64;
+    constexpr int kCycles = 5;
+    std::atomic<bool> stop{false};
+    std::atomic<int> published{0};
+    std::thread mutator([&]() {
+        for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+            {
+                PjhHeap::MutatorSection ms(*h_);
+                Oop n = rt_->pnewInstance(h_, "Node");
+                n.setI64(valueOff_, i);
+                h_->flushObject(n);
+                h_->setRoot("m" + std::to_string(i % kRoots), n);
+            }
+            published.store(i + 1, std::memory_order_release);
+        }
+    });
+    for (int c = 1; c <= kCycles; ++c) {
+        while (published.load(std::memory_order_acquire) < c * 200)
+            std::this_thread::yield();
+        h_->collect(&rt_->heap());
+    }
+    stop.store(true, std::memory_order_relaxed);
+    mutator.join();
+
+    int n = published.load(std::memory_order_acquire);
+    ASSERT_GE(n, kCycles * 200);
+    for (int k = 0; k < kRoots; ++k) {
+        Oop r = h_->getRoot("m" + std::to_string(k));
+        ASSERT_FALSE(r.isNull()) << "root m" << k;
+        EXPECT_EQ(r.getI64(valueOff_), k + (n - 1 - k) / kRoots * kRoots)
+            << "root m" << k;
+    }
+    EXPECT_GE(h_->stats().collections, static_cast<std::uint64_t>(kCycles));
+    h_->forEachObject(
+        [&](Oop o) { EXPECT_EQ(o.klass()->name(), "Node"); });
+}
+
+TEST_F(PjhGcTest, CollectionTriggeredInsideOwnSectionReturns)
+{
+    // Allocation pressure inside the caller's own MutatorSection: the
+    // triggered cycle's safepoint drains to the caller's bracket depth
+    // instead of waiting for that section to exit.
+    for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "concurrent" : "stw");
+        EspressoRuntime rt;
+        rt.define(nodeDef());
+        std::uint32_t off = rt.fieldOffset("Node", "value");
+        PjhHeap *h = rt.heaps().createHeap("small", 1u << 20);
+        h->setGcConcurrent(concurrent);
+        Oop keep = rt.pnewInstance(h, "Node");
+        keep.setI64(off, 4242);
+        h->flushObject(keep);
+        h->setRoot("keep", keep);
+        {
+            PjhHeap::MutatorSection ms(*h);
+            for (int i = 0; i < 200000; ++i)
+                rt.pnewInstance(h, "Node");
+        }
+        EXPECT_GT(h->stats().collections, 0u);
+        EXPECT_EQ(h->getRoot("keep").getI64(off), 4242);
+        EXPECT_EQ(h->gcPhase(), GcPhase::kIdle);
+    }
+}
+
+TEST_F(PjhGcTest, CollectionsTriggeredInsideTwoSectionsReturn)
+{
+    // Two threads fill the heap inside their own MutatorSections. The
+    // first trigger's cycle drains the other thread's section; that
+    // thread's own trigger then waits for the cycle lock, and must
+    // step out of its section while it does.
+    for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "concurrent" : "stw");
+        EspressoRuntime rt;
+        rt.define(nodeDef());
+        PjhHeap *h = rt.heaps().createHeap("small", 1u << 20);
+        h->setGcConcurrent(concurrent);
+        std::vector<std::thread> fillers;
+        for (int t = 0; t < 2; ++t) {
+            fillers.emplace_back([&]() {
+                PjhHeap::MutatorSection ms(*h);
+                for (int i = 0; i < 100000; ++i)
+                    rt.pnewInstance(h, "Node");
+            });
+        }
+        for (std::thread &t : fillers)
+            t.join();
+        EXPECT_GT(h->stats().collections, 1u);
+        EXPECT_EQ(h->gcPhase(), GcPhase::kIdle);
+    }
+}
+
+TEST_F(PjhGcTest, StwCyclesAdvanceTheMarkEpoch)
+{
+    // Every cycle arms and retires the marking-epoch record, so
+    // gcMarkEpoch counts STW cycles as well as concurrent ones.
+    h_->setRoot("n", pnode(1));
+    Word epoch = h_->meta().gcMarkEpoch;
+    h_->setGcConcurrent(false);
+    h_->collect(&rt_->heap());
+    EXPECT_EQ(h_->meta().gcMarkEpoch, epoch + 1);
+    EXPECT_EQ(h_->meta().gcMarkingActive, 0u);
+    h_->setGcConcurrent(true);
+    h_->collect(&rt_->heap());
+    h_->setGcConcurrent(false);
+    h_->collect(&rt_->heap());
+    EXPECT_EQ(h_->meta().gcMarkEpoch, epoch + 3);
+    EXPECT_EQ(h_->meta().gcMarkingActive, 0u);
+    EXPECT_EQ(h_->getRoot("n").getI64(valueOff_), 1);
+}
+
+/** Sets an environment variable for one scope, restoring it after. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(PjhGcEnvTest, MalformedKnobsKeepTheDefaults)
+{
+    // A lenient parser reads "false" as on and "4x" as 4; both must
+    // warn and keep the heap defaults (STW, one GC thread).
+    ScopedEnv conc("ESPRESSO_GC_CONCURRENT", "false");
+    ScopedEnv threads("ESPRESSO_GC_THREADS", "4x");
+    EspressoRuntime rt;
+    PjhHeap *h = rt.heaps().createHeap("env", 1u << 20);
+    EXPECT_FALSE(h->gcConcurrent());
+    EXPECT_EQ(h->gcThreads(), 1u);
 }
 
 } // namespace

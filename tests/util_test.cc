@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for util: alignment, bitmaps, phase timer, RNG.
+ * Unit tests for util: alignment, bitmaps, phase timer, RNG, env knobs.
  */
 
 #include <gtest/gtest.h>
@@ -159,6 +159,70 @@ TEST(EnvTest, UnsignedKnobParsesStrictly)
     setenv(kName, "0", 1);
     EXPECT_EQ(envUnsigned(kName, 3), 3u);
 
+    unsetenv(kName);
+}
+
+TEST(EnvTest, FlagKnobAcceptsOnlyZeroOrOne)
+{
+    const char *kName = "ESPRESSO_ENV_TEST_FLAG";
+
+    unsetenv(kName);
+    EXPECT_TRUE(envFlag(kName, true));
+    EXPECT_FALSE(envFlag(kName, false));
+    setenv(kName, "1", 1);
+    EXPECT_TRUE(envFlag(kName, false));
+    setenv(kName, "0", 1);
+    EXPECT_FALSE(envFlag(kName, true));
+
+    // Anything else keeps the fallback, whichever way it points.
+    for (const char *bad : {"true", "on", "yes", "", "2", "01", "10"}) {
+        setenv(kName, bad, 1);
+        EXPECT_FALSE(envFlag(kName, false)) << '"' << bad << '"';
+        EXPECT_TRUE(envFlag(kName, true)) << '"' << bad << '"';
+    }
+    unsetenv(kName);
+}
+
+// One case per malformed PJH/bench knob value that a lenient parser
+// would misread. Each goes through the same helper its reader uses.
+
+TEST(EnvTest, GcConcurrentFalseIsNotOn)
+{
+    const char *kName = "ESPRESSO_ENV_TEST_GC_CONCURRENT";
+    setenv(kName, "false", 1);
+    EXPECT_FALSE(envFlag(kName, false));
+    unsetenv(kName);
+}
+
+TEST(EnvTest, GcConcurrentOffIsNotOn)
+{
+    const char *kName = "ESPRESSO_ENV_TEST_GC_CONCURRENT";
+    setenv(kName, "off", 1);
+    EXPECT_FALSE(envFlag(kName, false));
+    unsetenv(kName);
+}
+
+TEST(EnvTest, TlabBytesUnitSuffixIsNot64Bytes)
+{
+    const char *kName = "ESPRESSO_ENV_TEST_TLAB_BYTES";
+    setenv(kName, "64k", 1);
+    EXPECT_EQ(envUnsigned(kName, 65536), 65536u);
+    unsetenv(kName);
+}
+
+TEST(EnvTest, GcThreadsTrailingGarbageIsNotFour)
+{
+    const char *kName = "ESPRESSO_ENV_TEST_GC_THREADS";
+    setenv(kName, "4x", 1);
+    EXPECT_EQ(envUnsigned(kName, 1), 1u);
+    unsetenv(kName);
+}
+
+TEST(EnvTest, BenchOpsUnitSuffixIsNotTen)
+{
+    const char *kName = "ESPRESSO_ENV_TEST_BENCH_OPS";
+    setenv(kName, "10k", 1);
+    EXPECT_EQ(envUnsigned(kName, 400000), 400000u);
     unsetenv(kName);
 }
 
