@@ -1,9 +1,7 @@
 #include "db/database.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "nvm/crash_injector.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace espresso {
@@ -42,19 +40,6 @@ thread_local CtxCache g_ctxCache;
  * for microseconds, not milliseconds. */
 constexpr std::uint32_t kNetLockSpinRounds = 16;
 
-std::uint64_t
-groupCommitWindowFromEnv()
-{
-    if (const char *s = std::getenv("ESPRESSO_DB_GROUP_COMMIT")) {
-        if (std::strcmp(s, "auto") == 0)
-            return DatabaseConfig::kWindowAuto;
-        long long v = std::atoll(s);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return 0;
-}
-
 } // namespace
 
 Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
@@ -63,7 +48,8 @@ Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
       serial_(g_dbSerial.fetch_add(1, std::memory_order_relaxed))
 {
     if (cfg_.groupCommitWindowUs == DatabaseConfig::kWindowFromEnv)
-        cfg_.groupCommitWindowUs = groupCommitWindowFromEnv();
+        cfg_.groupCommitWindowUs = envCountOrAuto(
+            "ESPRESSO_DB_GROUP_COMMIT", DatabaseConfig::kWindowAuto, 0);
 
     std::size_t catalog_off = alignUp(64, kCacheLineSize);
     std::size_t wal_off =

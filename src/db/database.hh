@@ -88,7 +88,9 @@ struct DatabaseConfig
      * blocking each other (extra threads queue on a shard). */
     unsigned walShards = 8;
 
-    /** Resolve groupCommitWindowUs from ESPRESSO_DB_GROUP_COMMIT. */
+    /** Resolve groupCommitWindowUs from ESPRESSO_DB_GROUP_COMMIT:
+     * "auto" or a count of microseconds (envCountOrAuto); anything
+     * else warns and commits eagerly. */
     static constexpr std::uint64_t kWindowFromEnv = ~0ull;
 
     /** Auto-tune the window from the observed commit arrival rate

@@ -735,6 +735,8 @@ PjhGc::collect(bool concurrent)
                           std::memory_order_seq_cst);
     std::uint64_t t_trace = gcNowNs();
     std::uint64_t marked = trace(roots);
+    if (concurrent && h_.markingHook_)
+        h_.markingHook_();
 
     // --- Remark safepoint: fresh roots plus the SATB residue. -------
     // With mutators drained the fixpoint is exact. Root slots may have

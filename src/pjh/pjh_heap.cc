@@ -572,13 +572,11 @@ PjhHeap::tlabReserve(ThreadTlab &t, std::size_t size)
                 if (rem == 0 || rem >= ObjectLayout::kHeaderSize) {
                     Addr a = t.bump;
                     if (rem > 0) {
-                        // Re-establish the trailing filler before
-                        // the object can be published: a crash
-                        // between the two persists parses as the
-                        // old, larger filler still covering [a,
-                        // end).
+                        // Stage the new trailing filler only: the
+                        // caller's header persist makes both durable
+                        // under one fence (crash cases in allocRaw).
                         writeFillerHeader(a + size, rem);
-                        dev_->persist(
+                        dev_->flush(
                             a + size,
                             std::min(rem, static_cast<std::size_t>(
                                               ObjectLayout::
@@ -590,8 +588,9 @@ PjhHeap::tlabReserve(ThreadTlab &t, std::size_t size)
             }
         }
         // Unusable chunk (none yet, stale epoch, too small, or an
-        // uncoverable 8-byte tail would remain): abandon it — its
-        // trailing filler is already durable — and carve afresh.
+        // uncoverable 8-byte tail would remain): abandon it — the
+        // previous allocation's fence made its trailing filler
+        // durable — and carve afresh.
         t.bump = t.end = 0;
         if (!carveChunk(t, size))
             return kNullAddr;
@@ -659,8 +658,8 @@ PjhHeap::allocRaw(const Klass *k, std::uint64_t length)
                      " bytes exceeds the bounce-buffer bound (",
                      meta_->bounceSize, ")"));
 
-    // Phase 2: reserve TLAB space; the chunk's trailing filler is
-    // durably re-established past the reservation first.
+    // Phase 2: reserve TLAB space; the chunk's new trailing filler is
+    // staged past the reservation.
     Addr a = tlabReserve(t, size);
     if (a == kNullAddr) {
         Oop o = allocSlotless(pk, image, length, size);
@@ -673,7 +672,19 @@ PjhHeap::allocRaw(const Klass *k, std::uint64_t length)
     // Phase 3: initialize and persist the header over the old filler
     // header; the Klass-pointer persist is the publication point.
     // Bytes beyond the old filler header are durably zero from the
-    // carve-time fill.
+    // carve-time fill. The same fence makes the staged trailing
+    // filler durable, so a crash tears at most this allocation —
+    // inside its registered chunk, where repairAllocationTail plugs
+    // it:
+    //  - header durable, filler lost: the object parses, and the
+    //    klass word at a+size is still the carve-time zero, so
+    //    repair plugs [a+size, chunk end);
+    //  - filler durable, header lost: the old filler at a still
+    //    covers [a, chunk end);
+    //  - torn header: it parses as either that filler or the object.
+    // The fence stays here rather than at the caller's next flush: an
+    // evicted raw setRef could otherwise leave a durable reference to
+    // an address that still parses as filler.
     Oop o(a);
     o.setMarkWord(0);
     o.setGcTimestamp(static_cast<std::uint16_t>(meta_->globalTimestamp));

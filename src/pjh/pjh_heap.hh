@@ -28,6 +28,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "heap/mark_bitmap.hh"
@@ -157,12 +158,13 @@ class PjhHeap : public ExternalSpace
      * crash-consistent — a chunk is formatted as one durable filler
      * object before the top replica publishes it and is then
      * registered in the metadata's TLAB slot table, and every
-     * allocation re-establishes a trailing filler over the chunk's
-     * unused tail before the object header is persisted. Recovery
-     * therefore repairs at most one torn tail per TLAB. Allocation
-     * waits out a collection's safepoint: the whole of an STW cycle,
-     * or a concurrent cycle's two brief pauses (in between, objects
-     * are born black).
+     * allocation stages a trailing filler over the chunk's unused
+     * tail that the object header's fence makes durable with it. At
+     * most the last allocation of each registered chunk is torn, and
+     * recovery plugs it up to the chunk's end. Allocation waits out
+     * a collection's safepoint: the whole of an STW cycle, or a
+     * concurrent cycle's two brief pauses (in between, objects are
+     * born black).
      */
     /// @{
     Oop allocInstance(const Klass *k);
@@ -333,6 +335,18 @@ class PjhHeap : public ExternalSpace
         return gcPhase() == GcPhase::kMarking;
     }
 
+    /** Test seam: @p hook runs on the collecting thread after a
+     * concurrent cycle's first trace, while the phase is still
+     * kMarking and before the remark safepoint, so a test can hold
+     * the marking window open until its own ops have landed. Set it
+     * only while no cycle runs; null clears it. STW cycles never
+     * call it. */
+    void
+    setMarkingHook(std::function<void()> hook)
+    {
+        markingHook_ = std::move(hook);
+    }
+
     /**
      * RAII mutator section: while held, another thread's collection
      * cannot reach a safepoint (the collector's pause drains all
@@ -428,13 +442,14 @@ class PjhHeap : public ExternalSpace
     ThreadTlab &threadTlab() const;
 
     /**
-     * Reserve @p size bytes in @p t's chunk, re-establishing the
-     * durable trailing filler first; carves a new chunk (possibly
-     * triggering a collection) when the current one cannot serve the
-     * request. Returns kNullAddr when the thread must use the
-     * slotless locked path. On return the caller owns [addr,
-     * addr+size): bytes past the old filler header are durably zero
-     * and the caller must write and persist the object header.
+     * Reserve @p size bytes in @p t's chunk, writing and staging
+     * (flush, no fence) the new trailing filler past them; carves a
+     * new chunk (possibly triggering a collection) when the current
+     * one cannot serve the request. Returns kNullAddr when the thread
+     * must use the slotless locked path. On return the caller owns
+     * [addr, addr+size): bytes past the old filler header are durably
+     * zero, and the caller must write and persist the object header,
+     * whose fence also makes the staged filler durable.
      */
     Addr tlabReserve(ThreadTlab &t, std::size_t size);
 
@@ -541,6 +556,8 @@ class PjhHeap : public ExternalSpace
     UndoLog undoLog_;
     SafetyLevel safety_ = SafetyLevel::kUserGuaranteed;
     std::function<void()> gcTrigger_;
+    /** See setMarkingHook(). */
+    std::function<void()> markingHook_;
     PjhStats stats_;
 
     /** Serializes chunk carving and the shared-top publication. */

@@ -158,10 +158,10 @@ struct PjhMetadata
      * The active-TLAB registry (§4.1 extended for concurrency): slot
      * i holds the data-heap offsets [start, end) of the chunk a
      * thread is currently bumping into, or start == end == 0 when
-     * free. Chunks keep a filler object covering [bump, end) at all
-     * times, so recovery repairs at most one torn tail per slot —
-     * a torn allocation inside a registered chunk is plugged up to
-     * the chunk's end, never past it.
+     * free. A chunk's filler over [bump, end) is staged with each
+     * allocation and made durable by that allocation's header fence,
+     * so at most the last allocation of each registered chunk is
+     * torn — recovery plugs it up to the chunk's end, never past it.
      */
     Word tlabSlots[kMaxTlabSlots * kTlabSlotWords];
 

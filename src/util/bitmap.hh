@@ -106,11 +106,13 @@ class BitmapView
         words_[bit / 64] &= ~(Word(1) << (bit % 64));
     }
 
-    /** Clear the entire bitmap. */
+    /** Clear the entire bitmap. An empty view has no buffer, and
+     * memset of a null pointer is undefined even for zero bytes. */
     void
     clearAll()
     {
-        std::memset(words_, 0, bytesFor(numBits_));
+        if (numBits_ != 0)
+            std::memset(words_, 0, bytesFor(numBits_));
     }
 
     /** Set all bits in [begin, end). */

@@ -85,15 +85,34 @@ nodeDef()
 
 constexpr const char *kHeapName = "matrix";
 
+/** Roots r0.. checked after recovery; a sequence publishes one per
+ * kSetRoot step. */
+constexpr int kMaxRoots = 16;
+
 /** Environment for one sweep iteration plus the expected-state model. */
 struct MatrixRig
 {
-    MatrixRig()
+    /** @p lean shrinks the DRAM heap and the PJH's fixed areas, for a
+     * sweep that builds a rig per (event, seed) pair. */
+    explicit MatrixRig(bool lean = false)
     {
-        rt = std::make_unique<EspressoRuntime>();
+        EspressoConfig cfg;
+        PjhConfig heap_cfg;
+        heap_cfg.dataSize = 2u << 20;
+        if (lean) {
+            cfg.volatileHeap.edenSize = 256u << 10;
+            cfg.volatileHeap.survivorSize = 64u << 10;
+            cfg.volatileHeap.oldSize = 1u << 20;
+            heap_cfg.dataSize = 256u << 10;
+            heap_cfg.nameTableCapacity = 64;
+            heap_cfg.klassSegSize = 64u << 10;
+            heap_cfg.bounceSize = 64u << 10;
+            heap_cfg.undoLogSize = 64u << 10;
+        }
+        rt = std::make_unique<EspressoRuntime>(cfg);
         rt->define(nodeDef());
         valueOff = rt->fieldOffset("Node", "value");
-        heap = rt->heaps().createHeap(kHeapName, 2u << 20);
+        heap = rt->heaps().createHeap(kHeapName, heap_cfg);
         rt->heaps().deviceOf(kHeapName)->setInjector(&injector);
     }
 
@@ -151,7 +170,7 @@ verifyRecovered(MatrixRig &rig, PjhHeap *h, const char *seq_name,
     // Invariant 2: every surviving root is a well-formed Node whose
     // value field reads back a value that was actually written —
     // recovery may lose an unfenced update but never invents one.
-    for (int r = 0; r < 8; ++r) {
+    for (int r = 0; r < kMaxRoots; ++r) {
         Oop root = h->getRoot("r" + std::to_string(r));
         if (root.isNull())
             continue;
@@ -172,13 +191,18 @@ verifyRecovered(MatrixRig &rig, PjhHeap *h, const char *seq_name,
         << seq_name << " event " << event;
 }
 
-/** Sweep one sequence: crash at every persistence event, recover, verify. */
+/**
+ * Sweep one sequence: crash at every persistence event, recover,
+ * verify (on lean rigs when @p lean). Adds the allocation tails
+ * recovery plugged to @p tail_repairs when given.
+ */
 void
 sweepSequence(const char *name, const Sequence &seq, CrashMode mode,
-              std::uint64_t seed)
+              std::uint64_t seed, bool lean = false,
+              std::uint64_t *tail_repairs = nullptr)
 {
     for (std::uint64_t event = 1;; ++event) {
-        MatrixRig rig;
+        MatrixRig rig(lean);
         rig.injector.arm(event);
         bool crashed = false;
         try {
@@ -200,6 +224,8 @@ sweepSequence(const char *name, const Sequence &seq, CrashMode mode,
         }
         rig.rt->heaps().crashHeap(kHeapName, mode, seed + event);
         PjhHeap *h = rig.rt->heaps().loadHeap(kHeapName);
+        if (tail_repairs)
+            *tail_repairs += h->stats().tailRepairs;
         verifyRecovered(rig, h, name, event);
     }
 }
@@ -215,6 +241,31 @@ TEST(CrashMatrixTest, PjhSequencesWithCacheEviction)
     for (const auto &[name, seq] : sequences())
         for (std::uint64_t seed : {101u, 202u})
             sweepSequence(name, seq, CrashMode::kEvictRandomLines, seed);
+}
+
+TEST(CrashMatrixTest, PnewTornTailSweepWithCacheEviction)
+{
+    // A pnew into an open chunk stages the chunk's new trailing filler
+    // and makes it durable under the header's fence, so a crash in
+    // that window can leave the header durable and the filler lost
+    // (or the reverse, or a torn header). Back-to-back pnews under
+    // many eviction seeds reach each combination; repair must plug the
+    // torn tail inside its registered chunk, and the recovered heap
+    // must hold the matrix's invariants.
+    Sequence seq;
+    for (int i = 0; i < 12; ++i) {
+        seq.push_back(Step::kPnew);
+        seq.push_back(Step::kSetRoot);
+    }
+    std::uint64_t tail_repairs = 0;
+    for (std::uint64_t seed = 1000; seed <= 16000; seed += 1000) {
+        sweepSequence("pnew-publish-x12", seq, CrashMode::kEvictRandomLines,
+                      seed, /*lean=*/true, &tail_repairs);
+        if (testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(tail_repairs, 0u)
+        << "no crash left a torn allocation tail for repair to plug";
 }
 
 // ---------------------------------------------------------------------
@@ -635,8 +686,8 @@ TEST(CrashMatrixTest, GcSweepMultiSliceWithCacheEviction)
  * allocate, flush, publish, link and unlink nodes *while* a
  * concurrent collection runs. Crash points come in two flavours:
  * uniformly random over the whole interleaved event stream, and
- * targeted — armed only once marking is observed overlapping the
- * mutators, so the sweep provably exercises the discard window
+ * targeted — armed from the marking hook while the cycle is held in
+ * kMarking, so the sweep provably exercises the discard window
  * (gcMarkingActive persisted, gcInProgress not yet).
  *
  * Invariants after recovery:
@@ -751,37 +802,42 @@ struct ConcRig
 
     /**
      * Mutators race one concurrent collection. @p arm_after_marking
-     * == 0: the caller pre-armed the injector. > 0: arm that many
-     * events ahead once marking is observed overlapping the mutators
-     * (lands the crash in or just past the marking window).
+     * == 0: the caller pre-armed the injector. > 0: the marking hook
+     * arms that many events ahead once the first trace is done, then
+     * holds the cycle in kMarking until the crash fires or the
+     * mutators run out of ops (lands the crash in or just past the
+     * marking window).
      */
     bool
     run(std::uint64_t arm_after_marking)
     {
         std::atomic<bool> crashed{false};
-        std::atomic<bool> gc_done{false};
+        std::atomic<int> mutating{kMutators};
+        if (arm_after_marking > 0) {
+            heap->setMarkingHook([this, arm_after_marking, &mutating]() {
+                injector.arm(arm_after_marking);
+                while (!injector.tripped() && mutating.load() > 0)
+                    std::this_thread::yield();
+            });
+        }
         std::vector<std::thread> workers;
-        for (int w = 0; w < kMutators; ++w)
-            workers.emplace_back(
-                [this, w, &crashed]() { mutate(w, crashed); });
-        std::thread collector([this, &crashed, &gc_done]() {
+        for (int w = 0; w < kMutators; ++w) {
+            workers.emplace_back([this, w, &crashed, &mutating]() {
+                mutate(w, crashed);
+                mutating.fetch_sub(1);
+            });
+        }
+        std::thread collector([this, &crashed]() {
             try {
                 heap->collect(nullptr);
             } catch (const SimulatedCrash &) {
                 crashed.store(true, std::memory_order_relaxed);
             }
-            gc_done.store(true, std::memory_order_release);
         });
-        if (arm_after_marking > 0) {
-            while (!gc_done.load(std::memory_order_acquire) &&
-                   !heap->markingConcurrently())
-                std::this_thread::yield();
-            if (!gc_done.load(std::memory_order_acquire))
-                injector.arm(arm_after_marking);
-        }
         collector.join();
         for (auto &t : workers)
             t.join();
+        heap->setMarkingHook(nullptr);
         return crashed.load();
     }
 

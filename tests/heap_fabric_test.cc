@@ -297,7 +297,7 @@ TEST(HeapFabricTest, RootOpsProceedDuringConcurrentMark)
             keys.push_back(key);
     }
 
-    // A large reachable population widens the marking window: one
+    // A large reachable population gives the trace real work: one
     // long chain, rooted every 16 nodes (the name table is small).
     std::uint32_t next_off = rt.fieldOffset("Node", "next");
     std::string k0 = keyForShard(fabric, 0, "c0.");
@@ -312,6 +312,14 @@ TEST(HeapFabricTest, RootOpsProceedDuringConcurrentMark)
         prev = n;
     }
 
+    // Hold the cycle in kMarking after its first trace until every
+    // root op below has landed, so the ops overlap marking by
+    // construction rather than by winning a race with the tracer.
+    std::atomic<bool> ops_landed{false};
+    h0->setMarkingHook([&ops_landed]() {
+        while (!ops_landed.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
     std::atomic<bool> done{false};
     std::thread collector([&]() {
         fabric->collectShard(0);
@@ -349,7 +357,9 @@ TEST(HeapFabricTest, RootOpsProceedDuringConcurrentMark)
             ++during_mark;
         ++issued;
     }
+    ops_landed.store(true, std::memory_order_release);
     collector.join();
+    h0->setMarkingHook(nullptr);
     EXPECT_GT(during_mark, 0)
         << "no root op overlapped the marking phase — the retired "
            "blocking contract crept back";

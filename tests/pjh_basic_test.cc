@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/espresso.hh"
 #include "util/logging.hh"
 #include "pjh/klass_segment.hh"
@@ -183,6 +185,53 @@ TEST_F(PjhBasicTest, HeapWalkSeesEveryAllocation)
     std::size_t count = 0;
     h_->forEachObject([&](Oop) { ++count; });
     EXPECT_EQ(count, baseline + 26);
+}
+
+TEST_F(PjhBasicTest, PnewIntoAnOpenChunkCostsOneFence)
+{
+    // A pnew into the open TLAB chunk stages the chunk's new trailing
+    // filler and persists the header under one fence, whether or not
+    // a remainder is left behind.
+    Klass *person = rt_->registry().resolve("Person", MemKind::kPersistent);
+    Klass *longs =
+        rt_->registry().arrayOf(FieldType::kI64, MemKind::kPersistent);
+    // Carve the first chunk and persist both Klass images.
+    Oop last = h_->allocInstance(person);
+    const std::size_t person_bytes = last.sizeInBytes();
+    last = h_->allocArray(longs, 4);
+
+    const NvmStats &st = rt_->heaps().deviceOf("Jimmy")->stats();
+    auto fences = [&](const std::function<Oop()> &alloc) {
+        std::uint64_t before = st.fences.load();
+        last = alloc();
+        return st.fences.load() - before;
+    };
+    // The test thread holds the heap's first TLAB slot.
+    auto chunk_left = [&]() -> std::size_t {
+        return h_->dataBase() + h_->meta().tlabSlotEnd(0) -
+               (last.addr() + last.sizeInBytes());
+    };
+
+    // With a remainder.
+    EXPECT_EQ(fences([&] { return h_->allocInstance(person); }), 1u);
+    EXPECT_EQ(fences([&] { return h_->allocArray(longs, 7); }), 1u);
+
+    // An array that leaves room for exactly one Person, then that
+    // Person: an instance exact fit (rem == 0).
+    std::uint64_t len = (chunk_left() - person_bytes -
+                         ObjectLayout::kArrayHeaderSize) /
+                        kWordSize;
+    EXPECT_EQ(fences([&] { return h_->allocArray(longs, len); }), 1u);
+    ASSERT_EQ(chunk_left(), person_bytes);
+    EXPECT_EQ(fences([&] { return h_->allocInstance(person); }), 1u);
+    EXPECT_EQ(chunk_left(), 0u);
+
+    // The next pnew carves a second chunk; an array sized to all of
+    // what it leaves is an array exact fit.
+    last = h_->allocInstance(person);
+    len = (chunk_left() - ObjectLayout::kArrayHeaderSize) / kWordSize;
+    EXPECT_EQ(fences([&] { return h_->allocArray(longs, len); }), 1u);
+    EXPECT_EQ(chunk_left(), 0u);
 }
 
 TEST_F(PjhBasicTest, AllocationFailsCleanlyWhenFull)

@@ -466,8 +466,6 @@ TEST_F(PjhGcTest, ConcurrentCycleCollectsAndRecordsStats)
 TEST_F(PjhGcTest, SatbBarrierKeepsSnapshotAliveOneCycle)
 {
     h_->setGcConcurrent(true);
-    // A long rooted list widens the marking window so the overwrite
-    // below usually lands mid-mark; the assertions hold either way.
     const int kLen = 3000;
     Oop head;
     std::set<std::int64_t> old_values;
@@ -477,6 +475,13 @@ TEST_F(PjhGcTest, SatbBarrierKeepsSnapshotAliveOneCycle)
     }
     h_->setRoot("head", head);
 
+    // Hold the cycle in kMarking after its first trace until the
+    // overwrite below has landed, so it lands mid-mark every run.
+    std::atomic<bool> ops_landed{false};
+    h_->setMarkingHook([&ops_landed]() {
+        while (!ops_landed.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
     std::atomic<bool> done{false};
     std::thread collector([&]() {
         h_->collect(&rt_->heap());
@@ -499,7 +504,9 @@ TEST_F(PjhGcTest, SatbBarrierKeepsSnapshotAliveOneCycle)
         // cycle, so marking observed on both sides brackets the ops.
         during_mark = mark_before && h_->markingConcurrently();
     }
+    ops_landed.store(true, std::memory_order_release);
     collector.join();
+    h_->setMarkingHook(nullptr);
 
     EXPECT_EQ(h_->getRoot("head").getI64(valueOff_), 777777);
     std::set<std::int64_t> seen;
@@ -510,11 +517,10 @@ TEST_F(PjhGcTest, SatbBarrierKeepsSnapshotAliveOneCycle)
             << "snapshot value " << v
             << " collected in the cycle it was dropped";
     }
-    if (during_mark) {
-        // The deletion barrier, not the initial snapshot, kept it.
-        EXPECT_GE(h_->stats().lastGcShaded + h_->stats().lastGcFloating,
-                  1u);
-    }
+    // The ops landed mid-mark, so the deletion barrier, not the
+    // initial snapshot, kept it.
+    EXPECT_TRUE(during_mark);
+    EXPECT_GE(h_->stats().lastGcShaded + h_->stats().lastGcFloating, 1u);
 
     // The next cycle reclaims the dropped list: it is garbage now.
     h_->collect(&rt_->heap());
