@@ -206,7 +206,7 @@ newOrder(ShardedDatabase &db, RmwLocks &locks, Rng &rng, int thread,
                             }),
                 items.end());
 
-    db.begin();
+    Txn txn = db.beginTxn();
     // District first (lock order), bumping the order counter — the
     // classic serialized hot row, held for the read-modify-write.
     std::int64_t o_id;
@@ -265,7 +265,8 @@ newOrder(ShardedDatabase &db, RmwLocks &locks, Rng &rng, int thread,
                     DbValue::ofI64(
                         static_cast<std::int64_t>(items.size()))};
     db.persistRecord("OORDER", order);
-    db.commit();
+    if (!txn.commit().isOk())
+        fatal("tpcc: commit failed");
 }
 
 void
@@ -280,7 +281,7 @@ payment(ShardedDatabase &db, RmwLocks &locks, Rng &rng)
     std::int64_t amount =
         1 + static_cast<std::int64_t>(rng.nextBelow(500));
 
-    db.begin();
+    Txn txn = db.beginTxn();
     {
         std::lock_guard<std::mutex> g(
             locks.warehouse[static_cast<std::size_t>(w)]);
@@ -318,7 +319,8 @@ payment(ShardedDatabase &db, RmwLocks &locks, Rng &rng)
         cup.dirtyMask = (1ull << 1) | (1ull << 2);
         db.persistRecord("CUSTOMER", cup);
     }
-    db.commit();
+    if (!txn.commit().isOk())
+        fatal("tpcc: commit failed");
 }
 
 RunResult
@@ -362,7 +364,7 @@ runOnce(int threads, std::uint64_t window_us, int ops,
             for (int i = 0; i < ops; ++i) {
                 // A deadlock victim or snapshot conflict rolls the
                 // whole bracket back; the driver retries, as TPC-C
-                // clients do. begin() resets the aborted state.
+                // clients do, with a fresh Txn.
                 if (rng.nextBool()) {
                     std::uint64_t t0 = bench::nowNs();
                     for (;;) {

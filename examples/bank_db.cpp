@@ -54,13 +54,13 @@ main()
 
     // A transfer that crashes before commit: the database-level WAL
     // rolls it back on reopen — no money is created or destroyed.
-    database.begin();
+    db::Txn half_txn = database.beginTxn();
     db::DbRecord half;
     half.values = {db::DbValue::ofI64(0), db::DbValue::null(),
                    db::DbValue::ofI64(-999999)};
     half.dirtyMask = 1ull << 2;
     database.persistRecord("ACCOUNT", half);
-    database.crash(); // power failure mid-transaction
+    database.crash(); // power failure mid-transaction: half_txn is inert
 
     EntityManager em2(&database, &provider, &enhancer);
     em2.begin();

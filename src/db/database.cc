@@ -9,31 +9,6 @@ namespace db {
 
 namespace {
 
-std::atomic<std::uint64_t> g_dbSerial{1};
-
-/** Unique per thread lifetime, never recycled (unlike thread ids). */
-std::atomic<std::uint64_t> g_threadToken{1};
-
-std::uint64_t
-threadToken()
-{
-    static thread_local std::uint64_t token =
-        g_threadToken.fetch_add(1, std::memory_order_relaxed);
-    return token;
-}
-
-/** Fast path for txContext(): the last (database serial, generation,
- * context) this thread resolved. File-scope (not function-local) so
- * the detached-session bind/unbind/detach paths can invalidate it
- * when they swap the thread's slot out from under the cache. */
-struct CtxCache
-{
-    std::uint64_t serial = 0;
-    std::uint64_t gen = 0;
-    void *ctx = nullptr;
-};
-thread_local CtxCache g_ctxCache;
-
 /** Row-lock wait bound for nowait (wire) transactions: this many
  * 256-spin rounds, then abort kBusy. Long enough to ride out a
  * committing holder, short enough that an event-loop worker stalls
@@ -42,10 +17,54 @@ constexpr std::uint32_t kNetLockSpinRounds = 16;
 
 } // namespace
 
+/** One Database transaction: owned by a Txn, or on the stack of an
+ * auto-committed statement. */
+struct Database::TxContext final : TxnState
+{
+    explicit TxContext(Database *d)
+        : db(d), gen(d->generation_.load(std::memory_order_acquire))
+    {
+        owner = d;
+    }
+
+    bool
+    active() const override
+    {
+        return phase == Phase::kOpen &&
+               gen == db->generation_.load(std::memory_order_acquire);
+    }
+
+    Status finish(bool commit) override { return db->finishTx(*this, commit); }
+
+    void
+    commitAsync(std::unique_ptr<TxnState> self,
+                std::function<void(Status)> done) override
+    {
+        self.release();
+        db->commitTxAsync(std::unique_ptr<TxContext>(this), std::move(done));
+    }
+
+    void lose() override { phase = Phase::kLost; }
+
+    Database *db;
+    /** The engine's crash generation at begin. */
+    std::uint64_t gen;
+    enum class Phase
+    {
+        kOpen,
+        kAborted, ///< rolled back by the engine mid-statement
+        kLost,    ///< a power failure took it
+    } phase = Phase::kOpen;
+    StatusCode abortCode = StatusCode::kOk;
+    unsigned shardId = 0;
+    /** False when a sharded bracket registered the snapshot. */
+    bool ownsSnapshot = false;
+    RowTxState rowTx;
+};
+
 Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
                    SnapshotClock *shared_clock)
-    : cfg_(cfg),
-      serial_(g_dbSerial.fetch_add(1, std::memory_order_relaxed))
+    : cfg_(cfg)
 {
     if (cfg_.groupCommitWindowUs == DatabaseConfig::kWindowFromEnv)
         cfg_.groupCommitWindowUs = envCountOrAuto(
@@ -83,45 +102,36 @@ Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
 
 Database::~Database() = default;
 
-Database::TxContext &
-Database::txContext()
+Database::TxContext *
+Database::boundTx() const
 {
-    std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (g_ctxCache.serial == serial_ && g_ctxCache.gen == gen)
-        return *static_cast<TxContext *>(g_ctxCache.ctx);
-    SpinGuard g(ctxMu_);
-    auto &slot = ctxs_[threadToken()];
-    if (!slot) {
-        slot = std::make_unique<TxContext>();
-        slot->shardId = nextShard_.fetch_add(1, std::memory_order_relaxed) %
-                        wal_->shardCount();
-        slot->rowTx.token = slot->shardId + 1;
-    }
-    g_ctxCache = CtxCache{serial_, gen, slot.get()};
-    return *slot;
+    return static_cast<TxContext *>(boundTxn(this));
 }
 
-Database::TxContext *
-Database::txContextIfAny() const
+unsigned
+Database::homeShard()
 {
-    SpinGuard g(ctxMu_);
-    auto it = ctxs_.find(threadToken());
-    return it == ctxs_.end() ? nullptr : it->second.get();
+    SpinGuard g(homesMu_);
+    auto [it, fresh] = homes_.try_emplace(currentThreadToken(), 0u);
+    if (fresh)
+        it->second = nextShard_++ % wal_->shardCount();
+    return it->second;
 }
 
 bool
 Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
                   bool nowait)
 {
+    unsigned n = wal_->shardCount();
+    unsigned home = homeShard();
+    unsigned chosen = home;
     if (nowait) {
         // Admission control: claim any free shard token (starting at
-        // the context's home shard) or decline — never queue. This
-        // naturally caps concurrent wire write sessions at the shard
-        // count.
-        unsigned n = wal_->shardCount();
-        unsigned chosen = n;
+        // the home shard) or decline — never queue. This naturally
+        // caps concurrent wire write sessions at the shard count.
+        chosen = n;
         for (unsigned i = 0; i < n; ++i) {
-            unsigned cand = (ctx.shardId + i) % n;
+            unsigned cand = (home + i) % n;
             if (wal_->shard(cand).tryAcquireTx()) {
                 chosen = cand;
                 break;
@@ -129,43 +139,31 @@ Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
         }
         if (chosen == n)
             return false;
-        ctx.shardId = chosen;
-        ctx.rowTx.token = chosen + 1;
     } else {
         // One transaction per shard: extra threads mapped to the
         // same shard queue here.
-        wal_->shard(ctx.shardId).acquireTx();
+        wal_->shard(chosen).acquireTx();
     }
-    WalShard &shard = wal_->shard(ctx.shardId);
+    ctx.shardId = chosen;
+    ctx.rowTx.token = chosen + 1;
+    WalShard &shard = wal_->shard(chosen);
     ctx.rowTx.maxSpinRounds = nowait ? kNetLockSpinRounds : 0;
 
-    ctx.isolation = iso;
     if (iso == Isolation::kSnapshot) {
-        if (bracket_snapshot != kNoSnapshot) {
-            // A sharded bracket registered one snapshot for every
-            // member; re-registering here would read a different
-            // clock value.
-            ctx.snapshot = bracket_snapshot;
-            ctx.ownsSnapshot = false;
-        } else {
-            ctx.snapshot = clock_->beginSnapshot();
-            ctx.ownsSnapshot = true;
-        }
-    } else {
-        ctx.snapshot = kNoSnapshot;
-        ctx.ownsSnapshot = false;
+        // A sharded bracket registered one snapshot for every member;
+        // re-registering here would read a different clock value.
+        ctx.ownsSnapshot = bracket_snapshot == kNoSnapshot;
+        ctx.snapshot = ctx.ownsSnapshot ? clock_->beginSnapshot()
+                                        : bracket_snapshot;
     }
-    ctx.rowTx.saveImages = clock_->enterWriter();
     ctx.rowTx.snapshot = ctx.snapshot;
 
     // Fresh control-block state before any marker can reference it.
-    TxnCtrl &c = ctrls_[ctx.shardId];
-    std::uint64_t seq =
-        txnSeqCounter_.fetch_add(1, std::memory_order_relaxed);
-    ctx.txnSeq = seq;
+    TxnCtrl &c = ctrls_[chosen];
     c.commitTs.store(0, std::memory_order_relaxed);
     c.waitingFor.store(0, std::memory_order_relaxed);
-    c.seq.store(seq, std::memory_order_release);
+    c.seq.store(txnSeqCounter_.fetch_add(1, std::memory_order_relaxed),
+                std::memory_order_release);
 
     shard.begin();
     coordinator_->txnBegan();
@@ -175,8 +173,8 @@ Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
 void
 Database::finishCommitLocal(TxContext &ctx)
 {
-    Word ts = 0;
-    if (ctx.rowTx.saveImages) {
+    Word ts;
+    {
         // Allocate + publish the commit timestamp in one clock
         // critical section: a snapshot begun before sees none of
         // this transaction, one begun after sees all of it.
@@ -192,13 +190,8 @@ Database::finishCommitLocal(TxContext &ctx)
 void
 Database::endTxCommon(TxContext &ctx)
 {
-    clock_->exitWriter(ctx.rowTx.saveImages);
-    ctx.rowTx.saveImages = false;
-    ctx.rowTx.snapshot = kNoSnapshot;
     if (ctx.ownsSnapshot)
         clock_->endSnapshot(ctx.snapshot);
-    ctx.snapshot = kNoSnapshot;
-    ctx.ownsSnapshot = false;
     // Shard release comes after row stamping (finishCommit /
     // finishRollback): no new transaction reuses this token while
     // its markers are still being resolved away.
@@ -215,11 +208,10 @@ Database::commitTx(TxContext &ctx)
     else
         coordinator_->commit(shard);
     finishCommitLocal(ctx);
-    ctx.lastOutcome = TxOutcome::kCommitted;
 }
 
 void
-Database::rollbackTx(TxContext &ctx, TxOutcome outcome)
+Database::rollbackTx(TxContext &ctx)
 {
     WalShard &shard = wal_->shard(ctx.shardId);
     shard.rollbackAndRetire(
@@ -236,323 +228,145 @@ Database::rollbackTx(TxContext &ctx, TxOutcome outcome)
         std::memory_order_release);
     rows_->finishRollback(ctx.rowTx);
     endTxCommon(ctx);
-    ctx.lastOutcome = outcome;
 }
 
 template <typename Fn>
 ResultSet
 Database::mutate(Fn &&fn)
 {
-    TxContext &ctx = txContext();
-    bool own = !ctx.explicitTx;
-    if (own)
-        beginTx(ctx);
+    if (TxContext *ctx = boundTx()) {
+        try {
+            return fn(*ctx);
+        } catch (const WalFullError &e) {
+            // Recoverable: undo what the transaction already wrote;
+            // the database stays usable. Rethrown as WalFullError so
+            // callers can tell "transaction too big" from genuine
+            // engine failures by type.
+            rollbackTx(*ctx);
+            ctx->phase = TxContext::Phase::kAborted;
+            ctx->abortCode = StatusCode::kWalFull;
+            throw WalFullError(
+                strCat("db: transaction rolled back: ", e.what()));
+        } catch (const TxnAbortError &e) {
+            // Deadlock victim, snapshot conflict or bounded-wait
+            // timeout: the write locks must drop, so the whole
+            // transaction rolls back.
+            rollbackTx(*ctx);
+            ctx->phase = TxContext::Phase::kAborted;
+            ctx->abortCode = e.code();
+            throw;
+        } catch (const SimulatedCrash &) {
+            ctx->lose(); // power failed mid-statement; recovery owns it
+            throw;
+        }
+        // Any other failure (bad column, dup pk, full table) died
+        // before mutating rows: the transaction stays open for the
+        // caller to decide.
+    }
+    TxContext ctx(this);
+    beginTx(ctx, Isolation::kReadUncommitted, kNoSnapshot, false);
     ResultSet rs;
     try {
         rs = fn(ctx);
     } catch (const WalFullError &e) {
-        // Recoverable: undo what the transaction already wrote and
-        // surface the outcome; the database stays usable. Rethrown
-        // as WalFullError so callers can distinguish "transaction
-        // too big" from genuine engine failures by type.
-        rollbackTx(ctx, TxOutcome::kRolledBackWalFull);
-        if (!own) {
-            ctx.explicitTx = false;
-            ctx.aborted = true;
-            ctx.abortCode = StatusCode::kWalFull;
-        }
+        rollbackTx(ctx);
         throw WalFullError(
             strCat("db: transaction rolled back: ", e.what()));
-    } catch (const TxnAbortError &e) {
-        // Deadlock victim or snapshot write conflict: the whole
-        // transaction rolls back (auto and explicit alike — the
-        // write locks must drop to break the cycle).
-        rollbackTx(ctx, e.code() == StatusCode::kDeadlock
-                            ? TxOutcome::kRolledBackDeadlock
-                            : TxOutcome::kRolledBackConflict);
-        if (!own) {
-            ctx.explicitTx = false;
-            ctx.aborted = true;
-            ctx.abortCode = e.code();
-        }
-        throw;
     } catch (const SimulatedCrash &) {
-        throw; // power failed mid-statement; recovery sorts it out
+        throw;
     } catch (...) {
-        // The statement died before mutating rows (bad column, dup
-        // pk, full table): an auto-txn rolls back; an explicit txn
-        // stays open for the caller to decide.
-        if (own)
-            rollbackTx(ctx, TxOutcome::kRolledBack);
+        rollbackTx(ctx);
         throw;
     }
-    if (own)
-        commitTx(ctx);
+    commitTx(ctx);
     return rs;
 }
 
 Txn
 Database::beginTxn(const TxnOptions &opts)
 {
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    beginTx(ctx, opts.isolation);
-    ctx.explicitTx = true;
-    return Txn(this, nullptr, ctx.txnSeq, ctx.snapshot);
+    return openTxn(opts.isolation, kNoSnapshot, false);
 }
 
 Status
-Database::commitHandle(std::uint64_t seq)
+Database::tryBeginTxn(const TxnOptions &opts, Txn *out)
 {
-    TxContext *ctx = txContextIfAny();
-    if (ctx == nullptr || ctx->txnSeq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "db: commit on a foreign or stale "
-                            "transaction handle");
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            // The engine already rolled this transaction back
-            // mid-statement; report why.
-            ctx->aborted = false;
-            StatusCode code = ctx->abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : ctx->abortCode;
-            return Status::make(
-                code, "db: transaction was rolled back by the engine");
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
-    }
-    ctx->explicitTx = false;
-    commitTx(*ctx);
-    return Status::ok();
-}
-
-Status
-Database::rollbackHandle(std::uint64_t seq)
-{
-    TxContext *ctx = txContextIfAny();
-    if (ctx == nullptr || ctx->txnSeq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "db: rollback on a foreign or stale "
-                            "transaction handle");
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            ctx->aborted = false;
-            return Status::ok(); // already rolled back, as requested
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
-    }
-    ctx->explicitTx = false;
-    rollbackTx(*ctx, TxOutcome::kRolledBack);
-    return Status::ok();
-}
-
-bool
-Database::handleActive(std::uint64_t seq) const
-{
-    TxContext *ctx = txContextIfAny();
-    return ctx != nullptr && ctx->explicitTx && ctx->txnSeq == seq;
-}
-
-void
-Database::beginWith(Isolation iso, Word bracket_snapshot)
-{
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    beginTx(ctx, iso, bracket_snapshot);
-    ctx.explicitTx = true;
-}
-
-bool
-Database::beginWithTry(Isolation iso, Word bracket_snapshot)
-{
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    if (!beginTx(ctx, iso, bracket_snapshot, /*nowait=*/true))
-        return false;
-    ctx.explicitTx = true;
-    return true;
-}
-
-Status
-Database::beginDetached(const TxnOptions &opts, std::uint64_t *id_out)
-{
-    *id_out = 0;
-    auto ctx = std::make_unique<TxContext>();
-    ctx->shardId = nextShard_.fetch_add(1, std::memory_order_relaxed) %
-                   wal_->shardCount();
-    ctx->rowTx.token = ctx->shardId + 1;
-    if (!beginTx(*ctx, opts.isolation, kNoSnapshot, /*nowait=*/true))
+    Txn t = openTxn(opts.isolation, kNoSnapshot, true);
+    if (t.state_ == nullptr)
         return Status::make(StatusCode::kBusy,
                             "db: every undo-log shard is carrying a "
                             "transaction; retry");
-    ctx->explicitTx = true;
-
-    std::uint64_t id =
-        detachedIdCounter_.fetch_add(1, std::memory_order_relaxed);
-    SpinGuard g(ctxMu_);
-    DetachedSession &s = detached_[id];
-    s.ctx = std::move(ctx);
-    *id_out = id;
+    *out = std::move(t);
     return Status::ok();
 }
 
-bool
-Database::bindDetached(std::uint64_t id)
+Txn
+Database::openTxn(Isolation iso, Word bracket_snapshot, bool nowait)
 {
-    SpinGuard g(ctxMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.boundToken != 0)
-        return false;
-    auto &slot = ctxs_[threadToken()];
-    if (slot && slot->explicitTx)
-        return false; // binder has its own open transaction
-    it->second.stash = std::move(slot);
-    slot = std::move(it->second.ctx);
-    it->second.boundToken = threadToken();
-    g_ctxCache = CtxCache{};
-    return true;
-}
-
-void
-Database::unbindDetached(std::uint64_t id)
-{
-    SpinGuard g(ctxMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.boundToken != threadToken())
-        fatal("db: unbind of a session not bound to this thread");
-    auto &slot = ctxs_[threadToken()];
-    it->second.ctx = std::move(slot);
-    slot = std::move(it->second.stash);
-    it->second.boundToken = 0;
-    g_ctxCache = CtxCache{};
-}
-
-std::uint64_t
-Database::detachCurrentTx()
-{
-    SpinGuard g(ctxMu_);
-    auto it = ctxs_.find(threadToken());
-    if (it == ctxs_.end() || !it->second || !it->second->explicitTx)
-        fatal("db: detach without an open transaction");
-    std::uint64_t id =
-        detachedIdCounter_.fetch_add(1, std::memory_order_relaxed);
-    DetachedSession &s = detached_[id];
-    s.ctx = std::move(it->second);
-    g_ctxCache = CtxCache{};
-    return id;
-}
-
-std::unique_ptr<Database::TxContext>
-Database::takeDetached(std::uint64_t id)
-{
-    SpinGuard g(ctxMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end())
-        fatal("db: unknown detached session");
-    if (it->second.boundToken != 0)
-        fatal("db: finishing a detached session while it is bound");
-    std::unique_ptr<TxContext> ctx = std::move(it->second.ctx);
-    detached_.erase(it);
-    return ctx;
+    if (boundTx() != nullptr)
+        fatal("db: nested transactions are not supported");
+    auto ctx = std::make_unique<TxContext>(this);
+    if (!beginTx(*ctx, iso, bracket_snapshot, nowait))
+        return Txn();
+    (void)ctx->bind();
+    return Txn(std::move(ctx));
 }
 
 Status
-Database::commitDetached(std::uint64_t id)
+Database::finishTx(TxContext &ctx, bool commit)
 {
-    std::unique_ptr<TxContext> ctx = takeDetached(id);
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            StatusCode code = ctx->abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : ctx->abortCode;
-            return Status::make(
-                code, "db: transaction was rolled back by the engine");
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
+    if (ctx.boundTo != 0)
+        ctx.unbind();
+    if (ctx.phase == TxContext::Phase::kAborted)
+        return commit ? Status::make(ctx.abortCode,
+                                     "db: transaction was rolled back "
+                                     "by the engine")
+                      : Status::ok();
+    if (!ctx.active()) {
+        // Lost to a power failure: recovery rolled it back.
+        return commit ? Status::make(StatusCode::kAborted,
+                                     "db: transaction was lost to a "
+                                     "power failure")
+                      : Status::ok();
     }
-    ctx->explicitTx = false;
-    commitTx(*ctx);
-    return Status::ok();
-}
-
-Status
-Database::rollbackDetached(std::uint64_t id)
-{
-    std::unique_ptr<TxContext> ctx = takeDetached(id);
-    if (!ctx->explicitTx) {
-        if (ctx->aborted)
-            return Status::ok(); // already rolled back, as requested
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
+    try {
+        if (commit)
+            commitTx(ctx);
+        else
+            rollbackTx(ctx);
+    } catch (const SimulatedCrash &) {
+        ctx.lose();
+        throw;
     }
-    ctx->explicitTx = false;
-    rollbackTx(*ctx, TxOutcome::kRolledBack);
     return Status::ok();
 }
 
 void
-Database::commitDetachedAsync(std::uint64_t id,
-                              std::function<void(Status)> done)
+Database::commitTxAsync(std::unique_ptr<TxContext> ctx,
+                        std::function<void(Status)> done)
 {
-    std::unique_ptr<TxContext> ctx = takeDetached(id);
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            StatusCode code = ctx->abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : ctx->abortCode;
-            done(Status::make(
-                code, "db: transaction was rolled back by the engine"));
-        } else {
-            done(Status::make(StatusCode::kMisuse,
-                              "db: transaction already finished"));
-        }
+    if (!ctx->active() || wal_->shard(ctx->shardId).entryCount() == 0) {
+        // Aborted, lost, or nothing written (no fences, no batch):
+        // complete inline.
+        done(finishTx(*ctx, true));
         return;
     }
-    ctx->explicitTx = false;
+    if (ctx->boundTo != 0)
+        ctx->unbind();
     WalShard &shard = wal_->shard(ctx->shardId);
-    if (shard.entryCount() == 0) {
-        // Nothing written: no fences, no batch — complete inline.
-        shard.retireEmpty();
-        finishCommitLocal(*ctx);
-        ctx->lastOutcome = TxOutcome::kCommitted;
-        done(Status::ok());
-        return;
-    }
-    TxContext *raw = ctx.release();
+    std::shared_ptr<TxContext> held(std::move(ctx));
     coordinator_->commitAsync(
-        shard, [this, raw, done](std::exception_ptr err) {
-            std::unique_ptr<TxContext> reclaim(raw);
+        shard, [this, held, done](std::exception_ptr err) {
             if (err) {
                 // The drain died of a simulated power failure; the
-                // session's durability is whatever recovery decides.
+                // durability is whatever recovery decides.
                 done(Status::make(StatusCode::kAborted,
                                   "db: commit drain failed"));
                 return;
             }
-            finishCommitLocal(*reclaim);
-            reclaim->lastOutcome = TxOutcome::kCommitted;
+            finishCommitLocal(*held);
             done(Status::ok());
         });
-}
-
-std::size_t
-Database::detachedCount() const
-{
-    SpinGuard g(ctxMu_);
-    return detached_.size();
 }
 
 unsigned
@@ -566,11 +380,9 @@ Database::busyWalShards() const
 }
 
 bool
-Database::prepareTx2pc(Word txn_id)
+Database::prepareTx2pc(Txn &member, Word txn_id)
 {
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx)
-        fatal("db: prepare without an open transaction");
+    auto &ctx = static_cast<TxContext &>(*member.state_);
     WalShard &shard = wal_->shard(ctx.shardId);
     if (shard.entryCount() == 0)
         return false; // nothing logged: yes-vote, no prepared state
@@ -579,98 +391,38 @@ Database::prepareTx2pc(Word txn_id)
 }
 
 void
-Database::publishCommitTsLocked(Word ts)
+Database::publishCommitTsLocked(Txn &member, Word ts)
 {
-    TxContext &ctx = txContext();
+    auto &ctx = static_cast<TxContext &>(*member.state_);
     ctrls_[ctx.shardId].commitTs.store(ts, std::memory_order_release);
 }
 
 void
-Database::finishPreparedTx(Word ts, bool prepared)
+Database::finishPreparedTx(Txn &member, Word ts, bool prepared)
 {
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx)
-        fatal("db: finishPrepared without an open transaction");
-    ctx.explicitTx = false;
+    std::unique_ptr<TxnState> state = std::move(member.state_);
+    auto &ctx = static_cast<TxContext &>(*state);
     WalShard &shard = wal_->shard(ctx.shardId);
     if (prepared)
         shard.finishPrepared();
     else
         shard.retireEmpty();
-    rows_->finishCommit(ctx.rowTx, ctx.rowTx.saveImages ? ts : 0);
+    rows_->finishCommit(ctx.rowTx, ts);
     endTxCommon(ctx);
-    ctx.lastOutcome = TxOutcome::kCommitted;
-}
-
-void
-Database::begin()
-{
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    beginTx(ctx);
-    ctx.explicitTx = true;
-}
-
-void
-Database::commit()
-{
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx) {
-        if (ctx.aborted) {
-            ctx.aborted = false;
-            fatal("db: transaction was already rolled back "
-                  "(undo log full)");
-        }
-        fatal("db: commit without begin");
-    }
-    ctx.explicitTx = false;
-    commitTx(ctx);
-}
-
-void
-Database::rollback()
-{
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx) {
-        if (ctx.aborted) {
-            ctx.aborted = false; // already rolled back by the engine
-            return;
-        }
-        fatal("db: rollback without begin");
-    }
-    ctx.explicitTx = false;
-    rollbackTx(ctx, TxOutcome::kRolledBack);
-}
-
-bool
-Database::inTransaction() const
-{
-    TxContext *ctx = txContextIfAny();
-    return ctx && ctx->explicitTx;
-}
-
-TxOutcome
-Database::lastTxOutcome() const
-{
-    TxContext *ctx = txContextIfAny();
-    return ctx ? ctx->lastOutcome : TxOutcome::kNone;
 }
 
 unsigned
 Database::currentTxShard()
 {
-    return txContext().shardId;
+    TxContext *ctx = boundTx();
+    return ctx != nullptr ? ctx->shardId : homeShard();
 }
 
 Word
 Database::currentSnapshot() const
 {
-    TxContext *ctx = txContextIfAny();
-    return (ctx != nullptr && ctx->explicitTx) ? ctx->snapshot
-                                               : kNoSnapshot;
+    TxContext *ctx = boundTx();
+    return ctx != nullptr ? ctx->snapshot : kNoSnapshot;
 }
 
 std::size_t
@@ -981,14 +733,9 @@ void
 Database::crash(CrashMode mode, std::uint64_t seed,
                 const WalShard::ResolveFn &is_committed)
 {
-    {
-        SpinGuard g(ctxMu_);
-        ctxs_.clear();
-        // Parked sessions died with the power; their shard tokens
-        // are re-zeroed by recovery below.
-        detached_.clear();
-        generation_.fetch_add(1, std::memory_order_release);
-    }
+    // Open transactions died with the power: their Txns go inert, and
+    // recovery below re-zeroes their shard tokens.
+    generation_.fetch_add(1, std::memory_order_release);
     coordinator_->resetAfterCrash();
     // Shared clocks are reset once per member — idempotent, and the
     // quiesced-caller contract makes the repeats harmless. The clock

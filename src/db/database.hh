@@ -12,44 +12,23 @@
  *    path. Typed records arrive directly, with a per-column dirty
  *    mask enabling field-level updates (§5).
  *
- * Both paths share the WAL, the row store, and the catalog; explicit
- * begin/commit brackets group statements, otherwise each call is
- * auto-committed.
+ * Both paths share the WAL, the row store, and the catalog. A
+ * statement runs inside the calling thread's bound db::Txn (see
+ * db/txn.hh), or else auto-commits on its own.
  *
- * Concurrency (PR 4): transactions are per-thread. Each thread is
- * bound to a TxContext owning one WAL shard and the transaction's
- * row write-set; begin()/commit()/rollback()/inTransaction() operate
- * on the calling thread's context, so N threads run N transactions
- * concurrently. Commits drain through the group-commit coordinator
- * (batch window: DatabaseConfig::groupCommitWindowUs, or the
- * ESPRESSO_DB_GROUP_COMMIT env var in microseconds; 0 = eager).
+ * Transactions: beginTxn() and tryBeginTxn() open a Txn that owns
+ * one undo-WAL shard (its token), its row write set and its
+ * snapshot, so up to walShards transactions log concurrently. Write
+ * locks are strict two-phase; a wait that closes a cycle aborts the
+ * youngest transaction with StatusCode::kDeadlock. Commits drain
+ * through the group-commit coordinator (batch window:
+ * DatabaseConfig::groupCommitWindowUs, or the ESPRESSO_DB_GROUP_COMMIT
+ * env var in microseconds; 0 = eager). An engine-side abort (WAL
+ * full, deadlock, snapshot conflict, bounded-wait kBusy) rolls the
+ * whole transaction back; the Txn's commit() reports why.
+ *
  * Caller contracts: DDL (createTable / CREATE TABLE) and crash()
  * must not run concurrently with other statements.
- *
- * Transactions + isolation (PR 6): beginTxn(TxnOptions) returns an
- * explicit RAII Txn handle whose commit() reports every failure mode
- * as a db::Status; the per-thread begin()/commit()/rollback() +
- * lastTxOutcome() shims remain. Write-write conflicts across rows no
- * longer require a caller-side lock order: a wait that closes a
- * cycle aborts its youngest transaction with StatusCode::kDeadlock.
- * Isolation::kSnapshot gives latch-free consistent reads at the
- * transaction's begin timestamp, with first-committer-wins write
- * conflicts (StatusCode::kConflict) — see db/txn.hh.
- *
- * Detached sessions (PR 10, the wire front door): a Txn handle is
- * thread-affine by design — commit() from another thread reports
- * StatusCode::kMisuse ("foreign or stale transaction handle").
- * Network servers need the opposite: a connection's transaction must
- * hop between event-loop worker threads and commit on whichever
- * thread the group-commit drainer runs. beginDetached() opens a
- * transaction that lives in the engine (not in any thread's slot);
- * bindDetached()/unbindDetached() splice it into the calling
- * thread's slot around each statement batch, and
- * commitDetached()/commitDetachedAsync()/rollbackDetached() finish
- * it from any thread. Detached begins never block: they take a free
- * WAL shard token or fail with StatusCode::kBusy (admission
- * control), and their row-lock waits are bounded (kBusy abort) so an
- * event-loop worker can never park behind a stalled session.
  */
 
 #ifndef ESPRESSO_DB_DATABASE_HH
@@ -59,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -105,17 +83,6 @@ struct DatabaseConfig
     std::uint64_t groupCommitWindowUs = kWindowFromEnv;
 };
 
-/** How the calling thread's last transaction ended. */
-enum class TxOutcome
-{
-    kNone,
-    kCommitted,
-    kRolledBack,
-    kRolledBackWalFull,  ///< undo segment overflow forced a rollback
-    kRolledBackDeadlock, ///< chosen as a deadlock victim
-    kRolledBackConflict, ///< snapshot first-committer-wins conflict
-};
-
 /** Query result. */
 struct ResultSet
 {
@@ -151,72 +118,23 @@ class Database
      * parsing to "transformation". */
     void setPhaseTimer(PhaseTimer *timer) { timer_ = timer; }
 
-    /** @name Transactions (calling thread's) */
+    /** @name Transactions */
     /// @{
-    /** Open an explicit transaction on the calling thread and return
-     * its handle. */
+    /** Open a transaction bound to the calling thread, queueing for
+     * the thread's home WAL shard (so up to walShards threads never
+     * queue on each other). Its commitAsync() completes on the
+     * group-commit drainer once durable, or inline when the
+     * transaction wrote nothing or was already aborted. */
     Txn beginTxn(const TxnOptions &opts = {});
 
-    void begin();
-    void commit();
-    void rollback();
-    bool inTransaction() const;
+    /** Never queue: take any free WAL shard token, searching from the
+     * home shard, or decline kBusy with nothing opened. The
+     * transaction's row-lock waits are bounded and abort it kBusy
+     * (the wire front door's event loops must never park). */
+    Status tryBeginTxn(const TxnOptions &opts, Txn *out);
 
-    /** Outcome of the calling thread's last finished transaction. */
-    TxOutcome lastTxOutcome() const;
-    /// @}
-
-    /** @name Detached transaction sessions (wire front door)
-     *
-     * Transferable transactions for servers whose connections hop
-     * between worker threads (see file comment). Lifecycle:
-     * beginDetached -> {bindDetached ... statements ...
-     * unbindDetached}* -> commitDetached / commitDetachedAsync /
-     * rollbackDetached. A session is either parked (owned by the
-     * engine) or bound to exactly one thread; finishing a bound
-     * session is a fatal protocol error.
-     */
-    /// @{
-    /** Open a detached transaction without blocking. kBusy (with
-     * *id_out == 0) when every WAL shard token is taken — nothing
-     * was opened; retry later. */
-    Status beginDetached(const TxnOptions &opts, std::uint64_t *id_out);
-
-    /** Splice session @p id into the calling thread's transaction
-     * slot (the slot's idle context, if any, is stashed and restored
-     * on unbind). False when the id is unknown, the session is bound
-     * elsewhere, or the calling thread has its own open
-     * transaction. */
-    bool bindDetached(std::uint64_t id);
-
-    /** Park the bound session again; fatal when @p id is not bound
-     * to the calling thread. */
-    void unbindDetached(std::uint64_t id);
-
-    /** Park the calling thread's open explicit transaction as a new
-     * detached session and return its id (fatal without one). The
-     * wire workers' auto-commit path: begin on the worker, execute,
-     * detach, hand the commit to the async drainer. */
-    std::uint64_t detachCurrentTx();
-
-    /** Commit/roll back a parked session from any thread. Reports
-     * kAborted/kWalFull/kDeadlock/kConflict/kBusy when the engine
-     * already rolled the transaction back mid-statement. */
-    Status commitDetached(std::uint64_t id);
-    Status rollbackDetached(std::uint64_t id);
-
-    /** Commit a parked session through the group-commit batcher
-     * without blocking the calling thread; @p done fires on the
-     * drainer thread (or inline for an empty/already-aborted
-     * transaction) once the commit is durable. */
-    void commitDetachedAsync(std::uint64_t id,
-                             std::function<void(Status)> done);
-
-    /** Parked + bound session count (leak checks). */
-    std::size_t detachedCount() const;
-
-    /** WAL shards whose transaction token is currently held (leak
-     * checks: 0 once every session is finished). */
+    /** WAL shards whose transaction token is currently held: one per
+     * open transaction (leak checks). */
     unsigned busyWalShards() const;
     /// @}
 
@@ -282,9 +200,10 @@ class Database
 
     std::size_t rowCount(const std::string &table);
 
-    /** Simulate a power failure and reopen (rolls back every open
-     * txn; @p is_committed resolves transactions that crashed
-     * between 2PC prepare and commit). Callers must be quiesced. */
+    /** Simulate a power failure and reopen (recovery rolls back every
+     * open transaction, whose Txns go inert; @p is_committed resolves
+     * transactions that crashed between 2PC prepare and commit).
+     * Callers must be quiesced. */
     void crash(CrashMode mode = CrashMode::kDiscardUnflushed,
                std::uint64_t seed = 1,
                const WalShard::ResolveFn &is_committed = {});
@@ -298,112 +217,76 @@ class Database
     CommitCoordinator &commitCoordinator() { return *coordinator_; }
     SnapshotClock &snapshotClock() { return *clock_; }
 
-    /** WAL shard bound to the calling thread. */
+    /** WAL shard of the calling thread's bound transaction, else its
+     * home shard. */
     unsigned currentTxShard();
     /// @}
 
   private:
-    friend class Txn;
     friend class ShardedDatabase;
 
-    /** Per-thread transaction state. */
-    struct TxContext
-    {
-        unsigned shardId = 0;
-        bool explicitTx = false;
-        /** Set when the engine rolled an explicit txn back
-         * mid-statement (log full, deadlock victim, snapshot
-         * conflict); the next commit()/rollback() consumes it
-         * instead of fataling. */
-        bool aborted = false;
-        StatusCode abortCode = StatusCode::kOk;
-        TxOutcome lastOutcome = TxOutcome::kNone;
-        Isolation isolation = Isolation::kReadUncommitted;
-        /** Snapshot timestamp (kNoSnapshot outside kSnapshot). */
-        Word snapshot = kNoSnapshot;
-        /** False when a sharded bracket registered the snapshot. */
-        bool ownsSnapshot = false;
-        /** Begin sequence of the open (or last) transaction; ties a
-         * Txn handle to the engine-side state. */
-        std::uint64_t txnSeq = 0;
-        RowTxState rowTx;
-    };
+    /** One transaction's engine state (defined in database.cc). */
+    struct TxContext;
 
-    /** A parked transferable transaction (see beginDetached). */
-    struct DetachedSession
-    {
-        /** The parked transaction (null while bound to a thread). */
-        std::unique_ptr<TxContext> ctx;
-        /** The binder's displaced idle slot context. */
-        std::unique_ptr<TxContext> stash;
-        /** Thread token of the binder (0 = parked). */
-        std::uint64_t boundToken = 0;
-    };
+    /** The calling thread's bound, active transaction (or null). */
+    TxContext *boundTx() const;
 
-    TxContext &txContext();
-    TxContext *txContextIfAny() const;
+    /** The calling thread's home WAL shard (round-robin on first
+     * use). */
+    unsigned homeShard();
 
-    /** Remove parked session @p id from the table (fatal when
-     * unknown or bound). */
-    std::unique_ptr<TxContext> takeDetached(std::uint64_t id);
+    /** Open a bound transaction; empty when @p nowait found no free
+     * WAL shard token. @p bracket_snapshot: a sharded bracket's
+     * already-registered snapshot. */
+    Txn openTxn(Isolation iso, Word bracket_snapshot, bool nowait);
 
     /** @return false only in nowait mode, when no WAL shard token
-     * was free (nothing was opened). nowait begins also bound the
-     * row-lock wait so the transaction aborts kBusy instead of
-     * parking its thread. */
-    bool beginTx(TxContext &ctx,
-                 Isolation iso = Isolation::kReadUncommitted,
-                 Word bracket_snapshot = kNoSnapshot,
-                 bool nowait = false);
+     * was free (nothing was opened). */
+    bool beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
+                 bool nowait);
     void commitTx(TxContext &ctx);
-    void rollbackTx(TxContext &ctx, TxOutcome outcome);
+    void rollbackTx(TxContext &ctx);
+
+    /** Finish @p ctx for its Txn; reports an engine-side abort, and
+     * touches nothing when the transaction was lost to a power
+     * failure. */
+    Status finishTx(TxContext &ctx, bool commit);
+
+    /** Txn::commitAsync for a Database transaction. */
+    void commitTxAsync(std::unique_ptr<TxContext> ctx,
+                       std::function<void(Status)> done);
 
     /** Post-durable-commit bookkeeping: allocate + publish the
      * commit timestamp, stamp rows, close the bracket. */
     void finishCommitLocal(TxContext &ctx);
 
-    /** Shared tail of commit/rollback: writer exit, snapshot end,
-     * shard release. */
+    /** Shared tail of commit/rollback: snapshot end, shard release. */
     void endTxCommon(TxContext &ctx);
 
-    /** @name Txn-handle plumbing (thread-affine) */
+    /** @name 2PC member protocol (driven by ShardedDatabase on a
+     * bracket's member transaction, from any thread) */
     /// @{
-    Status commitHandle(std::uint64_t seq);
-    Status rollbackHandle(std::uint64_t seq);
-    bool handleActive(std::uint64_t seq) const;
-    /// @}
+    /** Prepare @p member under @p txn_id; false when it logged
+     * nothing (vote commit with no prepared state — finish retires
+     * it empty). */
+    bool prepareTx2pc(Txn &member, Word txn_id);
 
-    /** @name 2PC member protocol (driven by ShardedDatabase) */
-    /// @{
-    /** Like begin(), for a sharded bracket: the bracket's isolation
-     * and (already registered) snapshot apply to the member txn. */
-    void beginWith(Isolation iso, Word bracket_snapshot);
-
-    /** Nowait beginWith: false when no WAL shard token was free
-     * (nothing was opened). */
-    bool beginWithTry(Isolation iso, Word bracket_snapshot);
-
-    /** Prepare the calling thread's open transaction under
-     * @p txn_id; false when it logged nothing (vote commit with no
-     * prepared state — finish retires it empty). */
-    bool prepareTx2pc(Word txn_id);
-
-    /** Publish @p ts as the open transaction's commit timestamp.
-     * Caller holds the shared SnapshotClock's mu. */
-    void publishCommitTsLocked(Word ts);
+    /** Publish @p ts as @p member's commit timestamp. Caller holds
+     * the shared SnapshotClock's mu. */
+    void publishCommitTsLocked(Txn &member, Word ts);
 
     /** Complete the member commit after the coordinator's durable
      * decision: retire the prepared segment (or the empty bracket),
-     * stamp rows with @p ts, close out. */
-    void finishPreparedTx(Word ts, bool prepared);
+     * stamp rows with @p ts, close out; @p member is spent. */
+    void finishPreparedTx(Txn &member, Word ts, bool prepared);
     /// @}
 
-    /** Snapshot of the calling thread's open transaction (or
+    /** Snapshot of the calling thread's bound transaction (or
      * kNoSnapshot). */
     Word currentSnapshot() const;
 
-    /** Run @p fn inside the calling thread's transaction, opening a
-     * statement-scoped one when none is active; a WAL-full error,
+    /** Run @p fn inside the calling thread's bound transaction, or in
+     * a statement-scoped one when none is active; a WAL-full error,
      * deadlock, or snapshot conflict rolls the whole transaction
      * back. */
     template <typename Fn> ResultSet mutate(Fn &&fn);
@@ -427,29 +310,20 @@ class Database
     /** Owned clock when no shared one was passed in. */
     std::unique_ptr<SnapshotClock> ownedClock_;
     SnapshotClock *clock_ = nullptr;
-    /** Begin sequences for TxnCtrl::seq / Txn handles (never 0). */
+    /** Begin sequences for TxnCtrl::seq (never 0). */
     std::atomic<std::uint64_t> txnSeqCounter_{1};
 
     /** DDL serialization (DDL vs DML concurrency is the caller's
      * contract, matching the catalog's). */
     std::mutex ddlMu_;
 
-    mutable SpinLock ctxMu_;
-    /** Keyed by a never-recycled per-thread token (std::thread::id
-     * values can be reused, which would hand a new thread a dead
-     * thread's transaction state). Entries are not reaped; growth is
-     * bounded by the number of threads that ever touch this
-     * database. */
-    std::unordered_map<std::uint64_t, std::unique_ptr<TxContext>>
-        ctxs_;
-    /** Detached sessions by id (under ctxMu_). */
-    std::unordered_map<std::uint64_t, DetachedSession> detached_;
-    std::atomic<std::uint64_t> detachedIdCounter_{1};
-    std::atomic<unsigned> nextShard_{0};
+    /** Home WAL shard per thread token; not reaped, so growth is
+     * bounded by the threads that ever touch this database. */
+    SpinLock homesMu_;
+    std::unordered_map<std::uint64_t, unsigned> homes_;
+    unsigned nextShard_ = 0; ///< guarded by homesMu_
 
-    /** Identity for the thread-local context cache. */
-    std::uint64_t serial_;
-    /** Bumped by crash() so stale cached contexts revalidate. */
+    /** Bumped by crash(): transactions begun before are lost. */
     std::atomic<std::uint64_t> generation_{0};
 };
 

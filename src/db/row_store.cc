@@ -373,8 +373,8 @@ void
 RowStore::markRowWrite(const TableRegion &region, std::size_t idx,
                        Addr addr, std::size_t row_bytes, RowTxState &tx)
 {
-    if (!tx.saveImages)
-        return;
+    if (ctrls_ == nullptr)
+        return; // no MVCC without control blocks
     Word v = loadWord(addr + kWordSize);
     if (versionIsDirty(v))
         return; // tx owns the row, so the marker is already its own

@@ -8,7 +8,7 @@
  * shard before touching it, so statement atomicity and crash
  * rollback come for free.
  *
- * Concurrency (PR 4): many transactions mutate one table at once.
+ * Concurrency: many transactions mutate one table at once.
  *  - The volatile indexes (pkIndex/eqIndex/freeRows/highWater) sit
  *    behind one short per-table spinlock (`indexMu`).
  *  - Row bytes are copied under striped per-row latches, so readers
@@ -26,18 +26,19 @@
  *    never races a reuse of its slot or its primary key; the
  *    deleting transaction itself may still re-insert the pk.
  *
- * MVCC (PR 6): row header word 1 is the version word — the row's
- * commit timestamp, or a dirty marker naming the in-flight writer.
- * Once any snapshot has been taken (SnapshotClock::saveMode),
- * writers push the pre-image of each row they touch onto a volatile
- * per-slot version chain before dirtying it; snapshot readers
- * resolve each row to the newest version committed at or before
- * their snapshot, walking the chain when the current bytes are too
- * new. Committed deletes whose timestamp is newer than the oldest
- * active snapshot become gravestones: the slot, pk mapping, and
- * chain stay put (readers still resolve the dead row's history)
- * until no snapshot needs them, then a lazy sweep reaps them.
- * Before the first snapshot ever, all of this is pass-through.
+ * MVCC: row header word 1 is the version word — the row's commit
+ * timestamp, or a dirty marker naming the in-flight writer. Every
+ * writer pushes the pre-image of each row it touches onto a volatile
+ * per-slot version chain before dirtying it, and stamps the rows
+ * with its commit timestamp; snapshot readers resolve each row to
+ * the newest version committed at or before their snapshot, walking
+ * the chain when the current bytes are too new. Chains keep only
+ * images some active snapshot can reach, so with no snapshot active
+ * a commit drops them again. Committed deletes whose timestamp is
+ * newer than the oldest active snapshot become gravestones: the
+ * slot, pk mapping, and chain stay put (readers still resolve the
+ * dead row's history) until no snapshot needs them, then a lazy
+ * sweep reaps them.
  */
 
 #ifndef ESPRESSO_DB_ROW_STORE_HH
@@ -72,8 +73,6 @@ namespace db {
 struct RowTxState
 {
     Word token = 0;
-    /** Maintain version chains + dirty markers (clock save mode). */
-    bool saveImages = false;
     /** Bounded write-lock wait: abort with StatusCode::kBusy after
      * this many 256-spin rounds instead of waiting forever (0 =
      * unbounded). No-wait transactions — the network front door's
@@ -315,7 +314,7 @@ class RowStore
     /** Under the row latch, before the first byte of @p tx's write
      * lands: push the row's pre-image onto its version chain and
      * replace the clean version word with @p tx's dirty marker.
-     * No-op when !tx.saveImages or the row is already ours-dirty. */
+     * No-op when the row is already ours-dirty. */
     void markRowWrite(const TableRegion &region, std::size_t idx,
                       Addr addr, std::size_t row_bytes,
                       RowTxState &tx);

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "db/wal.hh"
@@ -13,16 +12,85 @@
 namespace espresso {
 namespace db {
 
-namespace {
+/** One cross-shard bracket: owned by a Txn. */
+struct ShardedDatabase::Bracket final : TxnState
+{
+    Bracket(ShardedDatabase *s, bool nw, Isolation iso)
+        : sdb(s), gen(s->generation_.load(std::memory_order_acquire)),
+          nowait(nw), isolation(iso)
+    {
+        owner = s;
+    }
 
-std::atomic<std::uint64_t> g_shardedSerial{1};
+    bool
+    active() const override
+    {
+        return open && !lost &&
+               gen == sdb->generation_.load(std::memory_order_acquire);
+    }
 
-} // namespace
+    Status
+    finish(bool commit) override
+    {
+        return sdb->finishBracket(*this, commit);
+    }
+
+    Status
+    bind() override
+    {
+        if (boundTxn(owner) != nullptr)
+            return Status::make(StatusCode::kMisuse,
+                                "sharded db: the calling thread already "
+                                "runs a bracket");
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (members[i].state_ == nullptr)
+                continue;
+            Status s = members[i].bind();
+            if (!s.isOk()) {
+                while (i-- > 0)
+                    (void)members[i].unbind();
+                return s;
+            }
+        }
+        return TxnState::bind();
+    }
+
+    void
+    unbind() override
+    {
+        for (Txn &m : members)
+            if (m.state_ != nullptr)
+                (void)m.unbind();
+        TxnState::unbind();
+    }
+
+    void
+    lose() override
+    {
+        lost = true;
+        for (Txn &m : members)
+            if (m.state_ != nullptr)
+                m.state_->lose();
+    }
+
+    ShardedDatabase *sdb;
+    /** The fabric's crash generation at begin. */
+    std::uint64_t gen;
+    /** Wire bracket: member joins and row-lock waits never block —
+     * they abort the bracket kBusy instead. */
+    bool nowait;
+    Isolation isolation;
+    /** False once the engine aborted the bracket mid-statement. */
+    bool open = true;
+    bool lost = false;
+    StatusCode abortCode = StatusCode::kOk;
+    /** Member transactions by shard index (empty: not joined). */
+    std::vector<Txn> members;
+};
 
 ShardedDatabase::ShardedDatabase(const ShardedDatabaseConfig &cfg,
                                  NvmConfig nvm_cfg)
-    : cfg_(cfg), nvmCfg_(nvm_cfg),
-      serial_(g_shardedSerial.fetch_add(1, std::memory_order_relaxed))
+    : cfg_(cfg), nvmCfg_(nvm_cfg)
 {
     unsigned shards =
         cfg.shards ? cfg.shards : envUnsigned("ESPRESSO_SHARDS", 1);
@@ -63,70 +131,48 @@ ShardedDatabase::publishRouting(ShardRouter committed, ShardRouter next,
     routing_.store(raw, std::memory_order_release);
 }
 
-ShardedDatabase::TxState &
-ShardedDatabase::txState() const
+ShardedDatabase::Bracket *
+ShardedDatabase::boundBracket() const
 {
-    static thread_local std::unordered_map<std::uint64_t, TxState> map;
-    TxState &st = map[serial_];
-    std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (st.gen != gen) {
-        st = TxState{};
-        st.gen = gen;
-    }
-    // Size by the atomic listed-member count, not shards_.size()
-    // (push_back during grow would race the read). An open bracket
-    // keeps its begun flags when the membership grows under it.
-    unsigned n = memberCount_.load(std::memory_order_acquire);
-    if (st.open) {
-        if (st.begun.size() < n)
-            st.begun.resize(n, 0);
-    } else if (st.begun.size() != n) {
-        st.begun.assign(n, 0);
-    }
-    return st;
+    return static_cast<Bracket *>(boundTxn(this));
 }
 
 void
-ShardedDatabase::joinShard(TxState &st, unsigned idx)
+ShardedDatabase::joinShard(Bracket *b, unsigned idx)
 {
-    if (!st.open || st.begun[idx])
+    if (b == nullptr)
         return;
-    if (st.nowait) {
-        // Wire bracket: take a free member WAL shard token or abort
-        // the whole bracket — the callers' catch blocks run
-        // noteMemberAbort, so the bracket dies cleanly kBusy.
-        if (!shards_[idx]->beginWithTry(st.isolation, st.snapshot))
-            throw TxnAbortError(StatusCode::kBusy,
-                                "sharded db: member undo-log shards "
-                                "are saturated; bracket aborted");
-    } else {
-        shards_[idx]->beginWith(st.isolation, st.snapshot);
-    }
-    st.begun[idx] = 1;
+    if (idx >= b->members.size())
+        b->members.resize(idx + 1);
+    Txn &m = b->members[idx];
+    if (m.state_ != nullptr)
+        return;
+    m = shards_[idx]->openTxn(b->isolation, b->snapshot, b->nowait);
+    // Wire bracket: no free member WAL shard token aborts the whole
+    // bracket — routed() runs noteMemberAbort, so it dies cleanly.
+    if (m.state_ == nullptr)
+        throw TxnAbortError(StatusCode::kBusy,
+                            "sharded db: member undo-log shards are "
+                            "saturated; bracket aborted");
 }
 
 void
-ShardedDatabase::abortBracket(TxState &st)
+ShardedDatabase::abortBracket(Bracket &b)
 {
-    // Database::rollback also consumes a member the engine already
-    // rolled back (the aborted flag), so one loop covers both the
-    // explicit-rollback and the engine-abort paths.
-    for (unsigned i = 0; i < st.begun.size(); ++i) {
-        if (st.begun[i])
-            shards_[i]->rollback();
-        st.begun[i] = 0;
-    }
-    closeBracket(st);
+    // A member the engine already rolled back reports a quiet ok, so
+    // one loop covers both the explicit-rollback and the engine-abort
+    // paths.
+    for (Txn &m : b.members)
+        (void)m.rollback();
+    closeBracket(b);
 }
 
 void
-ShardedDatabase::closeBracket(TxState &st)
+ShardedDatabase::closeBracket(Bracket &b)
 {
-    if (st.snapshot != kNoSnapshot) {
-        clock_.endSnapshot(st.snapshot);
-        st.snapshot = kNoSnapshot;
-    }
-    st.open = false;
+    if (b.snapshot != kNoSnapshot)
+        clock_.endSnapshot(b.snapshot);
+    b.open = false;
     activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -145,16 +191,33 @@ ShardedDatabase::releaseBrackets()
 }
 
 void
-ShardedDatabase::noteMemberAbort(TxState &st, StatusCode code)
+ShardedDatabase::noteMemberAbort(Bracket *b, StatusCode code)
 {
-    // The throwing member already rolled its sub-transaction back
-    // (and flagged its context aborted — the rollback in
-    // abortBracket consumes that flag); a cross-shard bracket
-    // cannot outlive a half-aborted member.
-    if (st.open) {
-        abortBracket(st);
-        st.aborted = true;
-        st.abortCode = code;
+    // The throwing member already rolled its transaction back; a
+    // cross-shard bracket cannot outlive a half-aborted member.
+    if (b != nullptr && b->open) {
+        abortBracket(*b);
+        b->abortCode = code;
+    }
+}
+
+template <typename Fn>
+auto
+ShardedDatabase::routed(Fn &&fn)
+{
+    Bracket *b = boundBracket();
+    try {
+        return fn(b);
+    } catch (const WalFullError &) {
+        noteMemberAbort(b, StatusCode::kWalFull);
+        throw;
+    } catch (const TxnAbortError &e) {
+        noteMemberAbort(b, e.code());
+        throw;
+    } catch (const SimulatedCrash &) {
+        if (b != nullptr)
+            b->lose();
+        throw;
     }
 }
 
@@ -190,11 +253,10 @@ ShardedDatabase::releaseCoordSlot(unsigned slot)
                                std::memory_order_release);
 }
 
-ShardedDatabase::TxState &
-ShardedDatabase::beginBracket(const TxnOptions &opts)
+Txn
+ShardedDatabase::beginTxn(const TxnOptions &opts)
 {
-    TxState &st = txState();
-    if (st.open)
+    if (boundBracket() != nullptr)
         fatal("sharded db: nested transactions are not supported");
     // Bracket-drain fence: membership changes quiesce open brackets
     // at the declare and commit points; park admission while the
@@ -208,47 +270,89 @@ ShardedDatabase::beginBracket(const TxnOptions &opts)
             break;
         activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
     }
-    st.aborted = false;
-    st.abortCode = StatusCode::kOk;
-    st.isolation = opts.isolation;
-    st.snapshot = opts.isolation == Isolation::kSnapshot
-                      ? clock_.beginSnapshot()
-                      : kNoSnapshot;
-    st.seq = seqCounter_.fetch_add(1, std::memory_order_relaxed);
-    st.open = true;
-    return st;
-}
-
-void
-ShardedDatabase::begin()
-{
-    (void)beginBracket(TxnOptions{});
-}
-
-Txn
-ShardedDatabase::beginTxn(const TxnOptions &opts)
-{
-    TxState &st = beginBracket(opts);
-    return Txn(nullptr, this, st.seq, st.snapshot);
+    return openBracket(opts, false);
 }
 
 Status
-ShardedDatabase::commitBracket(TxState &st)
+ShardedDatabase::tryBeginTxn(const TxnOptions &opts, Txn *out)
+{
+    if (boundBracket() != nullptr)
+        fatal("sharded db: nested transactions are not supported");
+    // The nowait flavor of beginTxn's barrier dance: a draining
+    // membership change turns new brackets away instead of parking
+    // an event-loop worker on the fence.
+    bool admitted = false;
+    if (!bracketBarrier_.load(std::memory_order_acquire)) {
+        activeBrackets_.fetch_add(1, std::memory_order_acq_rel);
+        admitted = !bracketBarrier_.load(std::memory_order_acquire);
+        if (!admitted)
+            activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    if (!admitted)
+        return Status::make(StatusCode::kBusy,
+                            "sharded db: membership change draining "
+                            "brackets; retry");
+    *out = openBracket(opts, true);
+    return Status::ok();
+}
+
+Txn
+ShardedDatabase::openBracket(const TxnOptions &opts, bool nowait)
+{
+    auto b = std::make_unique<Bracket>(this, nowait, opts.isolation);
+    if (opts.isolation == Isolation::kSnapshot)
+        b->snapshot = clock_.beginSnapshot();
+    b->members.resize(memberCount_.load(std::memory_order_acquire));
+    (void)b->bind();
+    return Txn(std::move(b));
+}
+
+Status
+ShardedDatabase::finishBracket(Bracket &b, bool commit)
+{
+    if (b.boundTo != 0)
+        b.unbind();
+    if (!b.open)
+        return commit ? Status::make(b.abortCode,
+                                     "sharded db: transaction was "
+                                     "rolled back by the engine")
+                      : Status::ok();
+    if (!b.active()) {
+        // Lost to a power failure: recovery rolled it back, and the
+        // member transactions are spent with it.
+        b.lose();
+        return commit ? Status::make(StatusCode::kAborted,
+                                     "sharded db: transaction was lost "
+                                     "to a power failure")
+                      : Status::ok();
+    }
+    try {
+        if (commit)
+            return commitBracket(b);
+        abortBracket(b);
+        return Status::ok();
+    } catch (const SimulatedCrash &) {
+        b.lose();
+        throw;
+    }
+}
+
+Status
+ShardedDatabase::commitBracket(Bracket &b)
 {
     std::vector<unsigned> members;
-    for (unsigned i = 0; i < st.begun.size(); ++i)
-        if (st.begun[i])
+    for (unsigned i = 0; i < b.members.size(); ++i)
+        if (b.members[i].state_ != nullptr)
             members.push_back(i);
 
     if (members.size() <= 1) {
         // Zero or one member: the member's own commit is already
         // atomic and durable; no coordinator round trip.
-        for (unsigned i : members) {
-            shards_[i]->commit();
-            st.begun[i] = 0;
-        }
-        closeBracket(st);
-        return Status::ok();
+        Status s = Status::ok();
+        for (unsigned i : members)
+            s = b.members[i].commit();
+        closeBracket(b);
+        return s;
     }
 
     // Cross-shard 2PC, ascending shard order throughout (so
@@ -265,8 +369,9 @@ ShardedDatabase::commitBracket(TxState &st)
     std::vector<std::uint8_t> prepared(members.size(), 0);
     bool any_prepared = false;
     for (std::size_t k = 0; k < members.size(); ++k) {
+        unsigned m = members[k];
         prepared[k] =
-            shards_[members[k]]->prepareTx2pc(txn_id) ? 1 : 0;
+            shards_[m]->prepareTx2pc(b.members[m], txn_id) ? 1 : 0;
         any_prepared |= prepared[k] != 0;
     }
 
@@ -289,292 +394,20 @@ ShardedDatabase::commitBracket(TxState &st)
         SpinGuard g(clock_.mu);
         ts = ++clock_.clock;
         for (unsigned i : members)
-            shards_[i]->publishCommitTsLocked(ts);
+            shards_[i]->publishCommitTsLocked(b.members[i], ts);
     }
 
     for (std::size_t k = 0; k < members.size(); ++k) {
-        shards_[members[k]]->finishPreparedTx(ts, prepared[k] != 0);
-        st.begun[members[k]] = 0;
+        unsigned m = members[k];
+        shards_[m]->finishPreparedTx(b.members[m], ts, prepared[k] != 0);
     }
 
     if (slot != kNoCoordSlot) {
         coordLog_.clear(slot);
         releaseCoordSlot(slot);
     }
-    closeBracket(st);
+    closeBracket(b);
     return Status::ok();
-}
-
-void
-ShardedDatabase::commit()
-{
-    TxState &st = txState();
-    if (!st.open) {
-        if (st.aborted) {
-            st.aborted = false;
-            fatal("sharded db: transaction was already rolled back "
-                  "(undo log full)");
-        }
-        fatal("sharded db: commit without begin");
-    }
-    (void)commitBracket(st);
-}
-
-void
-ShardedDatabase::rollback()
-{
-    TxState &st = txState();
-    if (!st.open) {
-        if (st.aborted) {
-            st.aborted = false; // already rolled back by the engine
-            return;
-        }
-        fatal("sharded db: rollback without begin");
-    }
-    abortBracket(st);
-}
-
-bool
-ShardedDatabase::inTransaction() const
-{
-    return txState().open;
-}
-
-Status
-ShardedDatabase::commitHandle(std::uint64_t seq)
-{
-    TxState &st = txState();
-    if (st.seq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: commit on a foreign or "
-                            "stale transaction handle");
-    if (!st.open) {
-        if (st.aborted) {
-            // The engine already rolled this bracket back
-            // mid-statement; report why.
-            st.aborted = false;
-            StatusCode code = st.abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : st.abortCode;
-            return Status::make(code,
-                                "sharded db: transaction was rolled "
-                                "back by the engine");
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: transaction already "
-                            "finished");
-    }
-    return commitBracket(st);
-}
-
-Status
-ShardedDatabase::rollbackHandle(std::uint64_t seq)
-{
-    TxState &st = txState();
-    if (st.seq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: rollback on a foreign or "
-                            "stale transaction handle");
-    if (!st.open) {
-        if (st.aborted) {
-            st.aborted = false;
-            return Status::ok(); // already rolled back, as requested
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: transaction already "
-                            "finished");
-    }
-    abortBracket(st);
-    return Status::ok();
-}
-
-bool
-ShardedDatabase::handleActive(std::uint64_t seq) const
-{
-    TxState &st = txState();
-    return st.open && st.seq == seq;
-}
-
-Status
-ShardedDatabase::beginDetached(const TxnOptions &opts,
-                               std::uint64_t *id_out)
-{
-    *id_out = 0;
-    // The nowait flavor of beginBracket's barrier dance: a draining
-    // membership change turns new wire brackets away instead of
-    // parking an event-loop worker on the fence.
-    if (bracketBarrier_.load(std::memory_order_acquire))
-        return Status::make(StatusCode::kBusy,
-                            "sharded db: membership change draining "
-                            "brackets; retry");
-    activeBrackets_.fetch_add(1, std::memory_order_acq_rel);
-    if (bracketBarrier_.load(std::memory_order_acquire)) {
-        activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
-        return Status::make(StatusCode::kBusy,
-                            "sharded db: membership change draining "
-                            "brackets; retry");
-    }
-
-    DetachedBracket b;
-    unsigned n = memberCount_.load(std::memory_order_acquire);
-    b.st.gen = generation_.load(std::memory_order_acquire);
-    b.st.begun.assign(n, 0);
-    b.st.nowait = true;
-    b.st.isolation = opts.isolation;
-    b.st.snapshot = opts.isolation == Isolation::kSnapshot
-                        ? clock_.beginSnapshot()
-                        : kNoSnapshot;
-    b.st.seq = seqCounter_.fetch_add(1, std::memory_order_relaxed);
-    b.st.open = true;
-    b.memberSessions.assign(n, 0);
-
-    std::uint64_t id = b.st.seq;
-    SpinGuard g(detachedMu_);
-    detached_.emplace(id, std::move(b));
-    *id_out = id;
-    return Status::ok();
-}
-
-bool
-ShardedDatabase::bindDetached(std::uint64_t id)
-{
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.bound)
-        return false;
-    TxState &slot = txState();
-    if (slot.open)
-        return false; // binder has its own open bracket
-    DetachedBracket &b = it->second;
-    std::uint64_t gen = slot.gen;
-    slot = b.st;
-    slot.gen = gen;
-    for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
-        if (b.memberSessions[i] == 0)
-            continue;
-        if (!shards_[i]->bindDetached(b.memberSessions[i]))
-            fatal("sharded db: member session bind failed");
-    }
-    b.bound = true;
-    return true;
-}
-
-void
-ShardedDatabase::unbindDetached(std::uint64_t id)
-{
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || !it->second.bound)
-        fatal("sharded db: unbind of an unbound bracket");
-    DetachedBracket &b = it->second;
-    TxState &slot = txState();
-    if (b.memberSessions.size() < slot.begun.size())
-        b.memberSessions.resize(slot.begun.size(), 0);
-    for (unsigned i = 0; i < slot.begun.size(); ++i) {
-        bool session = b.memberSessions[i] != 0;
-        if (slot.begun[i] && session) {
-            shards_[i]->unbindDetached(b.memberSessions[i]);
-        } else if (slot.begun[i] && !session) {
-            // Joined while bound: park the member transaction the
-            // join opened on this thread.
-            b.memberSessions[i] = shards_[i]->detachCurrentTx();
-        } else if (!slot.begun[i] && session) {
-            // The engine aborted the bracket mid-statement while
-            // bound: the member already rolled back on this thread.
-            // Park the finished context and dispose of the session.
-            shards_[i]->unbindDetached(b.memberSessions[i]);
-            (void)shards_[i]->rollbackDetached(b.memberSessions[i]);
-            b.memberSessions[i] = 0;
-        }
-    }
-    b.st = slot;
-    TxState fresh;
-    fresh.gen = slot.gen;
-    fresh.begun.assign(slot.begun.size(), 0);
-    slot = std::move(fresh);
-    b.bound = false;
-}
-
-void
-ShardedDatabase::finishDetached(std::uint64_t id)
-{
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || !it->second.bound)
-        fatal("sharded db: finish of an unbound bracket");
-    DetachedBracket &b = it->second;
-    for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
-        if (b.memberSessions[i] == 0)
-            continue;
-        // The member transaction is finished (commitBracket /
-        // abortBracket closed every begun member); park the spent
-        // context and dispose of the session entry.
-        shards_[i]->unbindDetached(b.memberSessions[i]);
-        (void)shards_[i]->rollbackDetached(b.memberSessions[i]);
-    }
-    TxState &slot = txState();
-    TxState fresh;
-    fresh.gen = slot.gen;
-    fresh.begun.assign(slot.begun.size(), 0);
-    slot = std::move(fresh);
-    detached_.erase(it);
-}
-
-Status
-ShardedDatabase::commitDetached(std::uint64_t id)
-{
-    if (!bindDetached(id))
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: unknown or bound detached "
-                            "transaction");
-    TxState &st = txState();
-    Status s;
-    if (!st.open) {
-        if (st.aborted) {
-            StatusCode code = st.abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : st.abortCode;
-            s = Status::make(code,
-                             "sharded db: transaction was rolled "
-                             "back by the engine");
-        } else {
-            s = Status::make(StatusCode::kMisuse,
-                             "sharded db: transaction already "
-                             "finished");
-        }
-    } else {
-        s = commitBracket(st);
-    }
-    finishDetached(id);
-    return s;
-}
-
-Status
-ShardedDatabase::rollbackDetached(std::uint64_t id)
-{
-    if (!bindDetached(id))
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: unknown or bound detached "
-                            "transaction");
-    TxState &st = txState();
-    Status s = Status::ok();
-    if (!st.open) {
-        if (!st.aborted)
-            s = Status::make(StatusCode::kMisuse,
-                             "sharded db: transaction already "
-                             "finished");
-    } else {
-        abortBracket(st);
-    }
-    finishDetached(id);
-    return s;
-}
-
-std::size_t
-ShardedDatabase::detachedCount() const
-{
-    SpinGuard g(detachedMu_);
-    return detached_.size();
 }
 
 unsigned
@@ -614,8 +447,7 @@ ShardedDatabase::persistRecord(const std::string &table,
     const DbRouting &rt = routingRef();
     unsigned nidx =
         rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    TxState &st = txState();
-    try {
+    routed([&](Bracket *b) {
         if (rt.migrating) {
             unsigned oidx = rt.committed.shardForKey(
                 static_cast<std::uint64_t>(pk));
@@ -627,8 +459,8 @@ ShardedDatabase::persistRecord(const std::string &table,
                 // or a row that moved between the probes, which the
                 // final new-home upsert catches via its own
                 // update-else-insert.
-                joinShard(st, nidx);
-                joinShard(st, oidx);
+                joinShard(b, nidx);
+                joinShard(b, oidx);
                 if (shards_[nidx]->updateRecord(table, record))
                     return;
                 if (shards_[oidx]->updateRecord(table, record))
@@ -637,15 +469,9 @@ ShardedDatabase::persistRecord(const std::string &table,
                 return;
             }
         }
-        joinShard(st, nidx);
+        joinShard(b, nidx);
         shards_[nidx]->persistRecord(table, record);
-    } catch (const WalFullError &) {
-        noteMemberAbort(st, StatusCode::kWalFull);
-        throw;
-    } catch (const TxnAbortError &e) {
-        noteMemberAbort(st, e.code());
-        throw;
-    }
+    });
 }
 
 bool
@@ -656,16 +482,15 @@ ShardedDatabase::updateRecord(const std::string &table,
     const DbRouting &rt = routingRef();
     unsigned nidx =
         rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    TxState &st = txState();
-    try {
+    return routed([&](Bracket *b) {
         if (rt.migrating) {
             unsigned oidx = rt.committed.shardForKey(
                 static_cast<std::uint64_t>(pk));
             if (oidx != nidx) {
                 // Same two-home probe as persistRecord, minus the
                 // final insert: update-only never resurrects a row.
-                joinShard(st, nidx);
-                joinShard(st, oidx);
+                joinShard(b, nidx);
+                joinShard(b, oidx);
                 if (shards_[nidx]->updateRecord(table, record))
                     return true;
                 if (shards_[oidx]->updateRecord(table, record))
@@ -673,24 +498,17 @@ ShardedDatabase::updateRecord(const std::string &table,
                 return shards_[nidx]->updateRecord(table, record);
             }
         }
-        joinShard(st, nidx);
+        joinShard(b, nidx);
         return shards_[nidx]->updateRecord(table, record);
-    } catch (const WalFullError &) {
-        noteMemberAbort(st, StatusCode::kWalFull);
-        throw;
-    } catch (const TxnAbortError &e) {
-        noteMemberAbort(st, e.code());
-        throw;
-    }
+    });
 }
 
 bool
 ShardedDatabase::fetchRecord(const std::string &table, std::int64_t pk,
                              DbRecord *out)
 {
-    TxState &st = txState();
-    Word snap = (st.open && st.snapshot != kNoSnapshot) ? st.snapshot
-                                                        : kNoSnapshot;
+    Bracket *b = boundBracket();
+    Word snap = b != nullptr ? b->snapshot : kNoSnapshot;
     const DbRouting &rt = routingRef();
     unsigned nidx =
         rt.next.shardForKey(static_cast<std::uint64_t>(pk));
@@ -721,8 +539,7 @@ ShardedDatabase::deleteRecord(const std::string &table, std::int64_t pk)
     const DbRouting &rt = routingRef();
     unsigned nidx =
         rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    TxState &st = txState();
-    try {
+    return routed([&](Bracket *b) {
         if (rt.migrating) {
             unsigned oidx = rt.committed.shardForKey(
                 static_cast<std::uint64_t>(pk));
@@ -730,8 +547,8 @@ ShardedDatabase::deleteRecord(const std::string &table, std::int64_t pk)
                 // Same two-probe-plus-definitive-retry shape as
                 // fetchRecord, but locking: the delete serializes
                 // with a concurrent mover on the row lock.
-                joinShard(st, nidx);
-                joinShard(st, oidx);
+                joinShard(b, nidx);
+                joinShard(b, oidx);
                 if (shards_[nidx]->deleteRecord(table, pk))
                     return true;
                 if (shards_[oidx]->deleteRecord(table, pk))
@@ -739,15 +556,9 @@ ShardedDatabase::deleteRecord(const std::string &table, std::int64_t pk)
                 return shards_[nidx]->deleteRecord(table, pk);
             }
         }
-        joinShard(st, nidx);
+        joinShard(b, nidx);
         return shards_[nidx]->deleteRecord(table, pk);
-    } catch (const WalFullError &) {
-        noteMemberAbort(st, StatusCode::kWalFull);
-        throw;
-    } catch (const TxnAbortError &e) {
-        noteMemberAbort(st, e.code());
-        throw;
-    }
+    });
 }
 
 void
@@ -756,11 +567,11 @@ ShardedDatabase::scanEq(
     const DbValue &v,
     const std::function<void(const std::vector<DbValue> &)> &fn)
 {
-    TxState &st = txState();
+    Bracket *b = boundBracket();
     unsigned n = shardCount();
-    if (st.open && st.snapshot != kNoSnapshot) {
+    if (b != nullptr && b->snapshot != kNoSnapshot) {
         for (unsigned i = 0; i < n; ++i)
-            shards_[i]->scanEqAt(table, column, v, fn, st.snapshot);
+            shards_[i]->scanEqAt(table, column, v, fn, b->snapshot);
         return;
     }
     for (unsigned i = 0; i < n; ++i)
@@ -794,31 +605,26 @@ ShardedDatabase::moveRow(const std::string &table, unsigned src,
                          unsigned dst, std::int64_t pk)
 {
     for (unsigned attempt = 0;; ++attempt) {
-        TxState &st = beginBracket(TxnOptions{});
+        Txn t = beginTxn();
         try {
-            joinShard(st, src);
-            DbRecord rec;
-            if (!shards_[src]->fetchForUpdate(table, pk, &rec)) {
-                // Deleted, or already moved (idempotent resume).
-                abortBracket(st);
-                return;
-            }
-            joinShard(st, dst);
-            shards_[dst]->persistRecord(table, rec);
-            if (!shards_[src]->deleteRecord(table, pk))
-                fatal("sharded db: repartition lost a locked row");
-            (void)commitBracket(st);
-            return;
+            bool moved = routed([&](Bracket *b) {
+                joinShard(b, src);
+                DbRecord rec;
+                if (!shards_[src]->fetchForUpdate(table, pk, &rec))
+                    return false; // deleted, or already moved (resume)
+                joinShard(b, dst);
+                shards_[dst]->persistRecord(table, rec);
+                if (!shards_[src]->deleteRecord(table, pk))
+                    fatal("sharded db: repartition lost a locked row");
+                return true;
+            });
+            if (!moved || t.commit().isOk())
+                return; // dropping t releases the source row's lock
         } catch (const WalFullError &) {
-            noteMemberAbort(st, StatusCode::kWalFull);
         } catch (const TxnAbortError &) {
-            // Deadlock victim against a user bracket; back off and
-            // retry (noteMemberAbort already ran via persist/delete,
-            // or the bracket is still open after fetchForUpdate).
-            if (st.open)
-                abortBracket(st);
+            // Deadlock victim against a user bracket: back off and
+            // retry (the bracket already rolled back).
         }
-        st.aborted = false; // the mover retries instead of reporting
         if (attempt > 10000)
             fatal("sharded db: repartition starved moving a row");
         std::this_thread::yield();
@@ -892,7 +698,7 @@ ShardedDatabase::grow(unsigned added)
     if (migrPending_)
         fatal("sharded db: membership change already in flight "
               "(resumeMembershipChange after a crash)");
-    if (txState().open)
+    if (boundBracket() != nullptr)
         fatal("sharded db: grow inside a transaction bracket");
     unsigned from = memberCount_.load(std::memory_order_acquire);
     unsigned target = from + added;
@@ -913,7 +719,7 @@ ShardedDatabase::shrink(unsigned removed)
     if (migrPending_)
         fatal("sharded db: membership change already in flight "
               "(resumeMembershipChange after a crash)");
-    if (txState().open)
+    if (boundBracket() != nullptr)
         fatal("sharded db: shrink inside a transaction bracket");
     unsigned from = memberCount_.load(std::memory_order_acquire);
     if (removed >= from)
@@ -954,13 +760,8 @@ ShardedDatabase::crash(CrashMode mode, std::uint64_t seed)
     // Counted brackets and a raised barrier belong to dead threads
     // (quiesced-caller contract) — including a membership change
     // killed mid-repartition, which resumeMembershipChange() rolls
-    // forward after recovery. Parked wire brackets died with the
-    // power too; their member sessions are swept by each member's
-    // own crash below.
-    {
-        SpinGuard g(detachedMu_);
-        detached_.clear();
-    }
+    // forward after recovery. Open brackets, parked ones included,
+    // died with the power: their Txns go inert.
     bracketBarrier_.store(false, std::memory_order_release);
     activeBrackets_.store(0, std::memory_order_release);
 

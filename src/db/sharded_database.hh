@@ -12,53 +12,54 @@
  * its WAL, crash recovery is per-shard-local — one member's power
  * failure never corrupts the others.
  *
- * Transactions are per-thread, like Database's. An explicit bracket
- * (beginTxn()/begin()) may touch several shards: it lazily opens the
- * calling thread's transaction on each shard it first writes.
+ * Transactions: a db::Txn from beginTxn()/tryBeginTxn() is a bracket
+ * that may touch several shards. It owns one member Txn per member
+ * it joined, opened lazily on the first statement that routes there,
+ * and binds and parks them with itself. Statements outside a bracket
+ * auto-commit on their member.
  *
- * Cross-shard atomicity (PR 6) is two-phase commit. A bracket that
- * wrote N > 1 members commits by (1) preparing each member in
- * ascending shard order — the member durably marks its staged undo
- * segment "prepared" under a coordinator-issued transaction id —
- * then (2) publishing the commit decision as one fenced record in
- * the coordinator's DecisionLog (its own small NVM device), then
- * (3) retiring every prepared member. The decision record is the
- * commit point: crash() recovery reads the surviving decisions and
- * rolls a member's prepared segment forward iff its transaction id
- * has one, else back (presumed abort) — so a crash anywhere in the
- * protocol leaves all members committed or all rolled back. Single-
- * member brackets skip the coordinator entirely and keep the
- * one-fence eager/group-commit path. Multi-member prepares fence
- * eagerly, bypassing each member's group-commit batching (a 2PC
- * commit is already a multi-fence protocol; batching the prepares
- * would serialize unrelated brackets on each other's decisions).
+ * Cross-shard atomicity is two-phase commit. A bracket that wrote
+ * N > 1 members commits by (1) preparing each member in ascending
+ * shard order — the member durably marks its staged undo segment
+ * "prepared" under a coordinator-issued transaction id — then (2)
+ * publishing the commit decision as one fenced record in the
+ * coordinator's DecisionLog (its own small NVM device), then (3)
+ * retiring every prepared member. These steps act on the member Txns
+ * directly, so a parked bracket commits on any thread. The decision
+ * record is the commit point: crash() recovery reads the surviving
+ * decisions and rolls a member's prepared segment forward iff its
+ * transaction id has one, else back (presumed abort) — so a crash
+ * anywhere in the protocol leaves all members committed or all
+ * rolled back. Single-member brackets skip the coordinator entirely
+ * and keep the one-fence eager/group-commit path. Multi-member
+ * prepares fence eagerly, bypassing each member's group-commit
+ * batching (a 2PC commit is already a multi-fence protocol; batching
+ * the prepares would serialize unrelated brackets on each other's
+ * decisions).
  *
  * Isolation: members share one SnapshotClock, so a kSnapshot bracket
  * takes a single fabric-wide timestamp and the 2PC decision flips
  * visibility of all members' rows atomically (the commit timestamp
  * is published into every member's control block inside one clock
- * critical section). A WAL-full, deadlock, or snapshot conflict on
- * any member aborts the whole bracket: every touched shard rolls
- * back and the error propagates; a subsequent Txn::commit() reports
- * it as a db::Status.
+ * critical section). A WAL-full, deadlock, bounded-wait or snapshot
+ * conflict abort on any member aborts the whole bracket: every
+ * touched shard rolls back, the error propagates, and the Txn's
+ * commit() reports it.
  *
- * Single-row auto-committed operations (the YCSB pattern) involve
- * exactly one shard and keep Database's full atomicity story.
- *
- * Elastic membership (PR 7): grow()/shrink() repartition every table
- * over a new ring while point operations and brackets keep running.
- * The change publishes an epoch *pair* {committed, next}: writes and
+ * Elastic membership: grow()/shrink() repartition every table over a
+ * new ring while point operations and brackets keep running. The
+ * change publishes an epoch *pair* {committed, next}: writes and
  * inserts route by the next ring immediately; reads probe the new
  * home first and fall back to the old one while rows stream over.
  * Each remapped row moves in its own cross-shard 2PC bracket
  * (write-lock source → upsert dest → delete source → commit), so a
  * mover and a concurrent user write serialize on the row lock and a
- * snapshot scan sees exactly one copy of every row. In-flight
- * brackets drain at two fences — before the pair is published and
- * before the new ring is committed — matching the heap fabric's
- * declare → migrate → commit protocol. A crash mid-change is resumed
- * by resumeMembershipChange() after crash(); the per-row move
- * brackets are idempotent (absent source rows are skipped), so the
+ * snapshot scan sees exactly one copy of every row. Open brackets
+ * drain at two fences — before the pair is published and before the
+ * new ring is committed — matching the heap fabric's declare →
+ * migrate → commit protocol. A crash mid-change is resumed by
+ * resumeMembershipChange() after crash(); the per-row move brackets
+ * are idempotent (absent source rows are skipped), so the
  * repartition simply re-runs. Shrunk members are retained as
  * unlisted zombies so member indices stay stable for the life of
  * the instance.
@@ -77,7 +78,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "db/database.hh"
@@ -170,54 +170,25 @@ class ShardedDatabase
     bool migrating() const { return routingRef().migrating; }
     /// @}
 
-    /** @name Transactions (calling thread's) */
+    /** @name Transactions */
     /// @{
-    /** Open an explicit cross-shard transaction on the calling
-     * thread and return its handle. */
+    /** Open a bracket bound to the calling thread. Admission parks
+     * while a membership change drains brackets; member joins queue
+     * for their WAL shard. commitAsync() commits on the calling
+     * thread, then calls done. */
     Txn beginTxn(const TxnOptions &opts = {});
 
-    void begin();
-    void commit();
-    void rollback();
-    bool inTransaction() const;
-    /// @}
+    /** Never queue: decline kBusy while a membership change drains
+     * brackets. A member join that finds no free WAL shard token, or
+     * a row-lock wait that runs out, aborts the bracket kBusy. */
+    Status tryBeginTxn(const TxnOptions &opts, Txn *out);
 
-    /** @name Detached cross-shard brackets (wire front door)
-     *
-     * The sharded flavor of Database's detached sessions: a bracket
-     * that hops between server worker threads and commits on a
-     * committer-pool thread. Lifecycle: beginDetached ->
-     * {bindDetached ... record ops ... unbindDetached}* ->
-     * commitDetached / rollbackDetached. Detached brackets are
-     * nowait throughout — a member join takes a free WAL shard token
-     * or aborts the bracket kBusy, and row-lock waits are bounded —
-     * so an event-loop worker can never park behind another session.
-     * A parked bracket counts toward the bracket-drain fence, so
-     * grow()/shrink() waits for in-flight wire transactions (and
-     * beginDetached declines kBusy while a change is draining).
-     */
-    /// @{
-    /** Open a parked bracket; kBusy (with *id_out == 0) while a
-     * membership change is draining brackets. */
-    Status beginDetached(const TxnOptions &opts, std::uint64_t *id_out);
-
-    /** Splice bracket @p id (and its begun members' sessions) into
-     * the calling thread. False when unknown, bound elsewhere, or
-     * the thread has its own open bracket. */
-    bool bindDetached(std::uint64_t id);
-
-    /** Park the bound bracket again (fatal when @p id is not bound
-     * to the calling thread). */
-    void unbindDetached(std::uint64_t id);
-
-    /** Finish a parked bracket from any thread. Reports
-     * kAborted/kWalFull/kDeadlock/kConflict/kBusy when the engine
-     * already killed the bracket mid-statement. */
-    Status commitDetached(std::uint64_t id);
-    Status rollbackDetached(std::uint64_t id);
-
-    /** Parked + bound bracket count (leak checks). */
-    std::size_t detachedCount() const;
+    /** Brackets begun and not yet finished (leak checks). */
+    unsigned
+    openTxnCount() const
+    {
+        return activeBrackets_.load(std::memory_order_acquire);
+    }
 
     /** Held WAL shard tokens across all members (leak checks). */
     unsigned busyWalShards() const;
@@ -254,11 +225,11 @@ class ShardedDatabase
     /**
      * Power-fail member @p i only; it recovers from its own WAL
      * while the other members keep serving *reads and new
-     * auto-committed work*. Every thread's bracket state is
-     * generation-invalidated, so callers must be quiesced with no
-     * open begin()/commit() bracket anywhere (same contract as
-     * Database::crash); under that contract no member holds 2PC
-     * prepared state, so the member recovers presumed-abort.
+     * auto-committed work*. Every open bracket goes inert, so
+     * callers must be quiesced with no open bracket anywhere (same
+     * contract as Database::crash); under that contract no member
+     * holds 2PC prepared state, so the member recovers
+     * presumed-abort.
      */
     void crashShard(unsigned i,
                     CrashMode mode = CrashMode::kDiscardUnflushed,
@@ -283,78 +254,41 @@ class ShardedDatabase
     /// @}
 
   private:
-    friend class Txn;
-
     static constexpr unsigned kCoordSlots = 64;
     static constexpr unsigned kNoCoordSlot = ~0u;
 
-    /** Per-thread cross-shard bracket state. */
-    struct TxState
-    {
-        std::uint64_t gen = 0;
-        bool open = false;
-        /** Set when the engine killed the bracket mid-statement
-         * (WAL-full, deadlock victim, snapshot conflict); the next
-         * commit()/rollback() consumes it instead of fataling
-         * (mirrors Database's aborted-flag contract). */
-        bool aborted = false;
-        StatusCode abortCode = StatusCode::kOk;
-        Isolation isolation = Isolation::kReadUncommitted;
-        /** Bracket-wide snapshot (kNoSnapshot outside kSnapshot). */
-        Word snapshot = kNoSnapshot;
-        /** Begin sequence tying a Txn handle to this bracket. */
-        std::uint64_t seq = 0;
-        /** Detached (wire) bracket: member joins and row-lock waits
-         * never block — they abort the bracket kBusy instead. */
-        bool nowait = false;
-        std::vector<std::uint8_t> begun; ///< per-shard: sub-txn open
-    };
+    /** One cross-shard bracket's state (defined in the .cc). */
+    struct Bracket;
 
-    /** A parked transferable bracket (see beginDetached). */
-    struct DetachedBracket
-    {
-        TxState st;
-        /** Per-member Database detached-session ids (0 = none). */
-        std::vector<std::uint64_t> memberSessions;
-        bool bound = false;
-    };
+    /** The calling thread's bound, active bracket (or null). */
+    Bracket *boundBracket() const;
 
-    /** The calling thread's bracket for this instance. Entries live
-     * in a thread_local map keyed by a never-reused serial and are
-     * not reaped on destruction — growth is bounded by the number
-     * of ShardedDatabase instances a thread ever touches (the same
-     * documented trade-off as Database::ctxs_). */
-    TxState &txState() const;
+    /** Register and bind a bracket (admission already counted). */
+    Txn openBracket(const TxnOptions &opts, bool nowait);
 
-    TxState &beginBracket(const TxnOptions &opts);
+    /** Run a routed statement inside the bound bracket (@p fn gets
+     * it, or null): a member abort kills the whole bracket, a power
+     * failure leaves it inert. */
+    template <typename Fn> auto routed(Fn &&fn);
+
+    /** Finish @p b for its Txn (see Database::finishTx). */
+    Status finishBracket(Bracket &b, bool commit);
 
     /** Commit the bracket: direct member commit for ≤ 1 member,
      * 2PC for more. */
-    Status commitBracket(TxState &st);
+    Status commitBracket(Bracket &b);
 
-    /** Roll back every begun member (abort / rollback path). */
-    void abortBracket(TxState &st);
+    /** Roll back every joined member (abort / rollback path). */
+    void abortBracket(Bracket &b);
 
-    /** Shared bracket epilogue: release the snapshot, mark closed. */
-    void closeBracket(TxState &st);
+    /** Shared bracket epilogue: release the snapshot, uncount. */
+    void closeBracket(Bracket &b);
 
-    /** Open the bracket's sub-transaction on @p idx if needed. */
-    void joinShard(TxState &st, unsigned idx);
+    /** Open the bracket's member transaction on @p idx if needed. */
+    void joinShard(Bracket *b, unsigned idx);
 
     /** Kill the bracket after a member aborted mid-statement. */
-    void noteMemberAbort(TxState &st, StatusCode code);
-
-    /** Teardown after a bound bracket finished: unbind + dispose
-     * every member session, reset the thread slot, erase the
-     * entry. */
-    void finishDetached(std::uint64_t id);
-
-    /** @name Txn-handle plumbing (thread-affine) */
-    /// @{
-    Status commitHandle(std::uint64_t seq);
-    Status rollbackHandle(std::uint64_t seq);
-    bool handleActive(std::uint64_t seq) const;
-    /// @}
+    void noteMemberAbort(Bracket *b, StatusCode code);
 
     /** @name Coordinator decision-slot allocation */
     /// @{
@@ -409,7 +343,7 @@ class ShardedDatabase
     /** @name Bracket drain fence */
     /// @{
     /** Raise the barrier and wait for every counted bracket to
-     * close (new beginBracket calls park on the barrier). */
+     * close (new beginTxn calls park on the barrier). */
     void quiesceBrackets();
     void releaseBrackets();
     /// @}
@@ -438,15 +372,10 @@ class ShardedDatabase
     unsigned migrFrom_ = 0;
     unsigned migrTarget_ = 0;
 
-    /** Bracket drain fence: beginBracket parks while the barrier is
-     * up; quiesceBrackets waits for the count to hit zero. */
+    /** Bracket drain fence: beginTxn parks while the barrier is up;
+     * quiesceBrackets waits for the count to hit zero. */
     std::atomic<bool> bracketBarrier_{false};
     std::atomic<unsigned> activeBrackets_{0};
-
-    /** Parked wire brackets by id. Lock order: detachedMu_ before
-     * any member's context lock (bind/unbind take both). */
-    mutable SpinLock detachedMu_;
-    std::unordered_map<std::uint64_t, DetachedBracket> detached_;
 
     /** One commit clock across all members: cross-shard commits get
      * one timestamp, snapshots are fabric-wide. */
@@ -467,12 +396,8 @@ class ShardedDatabase
      * for the life of the instance). */
     std::vector<std::unique_ptr<Database>> shards_;
 
-    /** Begin sequences for Txn handles (never 0). */
-    std::atomic<std::uint64_t> seqCounter_{1};
-
-    /** Identity for the thread-local bracket cache. */
-    std::uint64_t serial_;
-    /** Bumped by crash()/crashShard() so stale brackets revalidate. */
+    /** Bumped by crash()/crashShard(): brackets begun before are
+     * lost. */
     std::atomic<std::uint64_t> generation_{0};
 };
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Unified transaction status codes for the database API surface.
+ * Transaction status codes for the database API surface.
  *
- * The engine historically mixed failure modes: WalFullError
- * exceptions, fatal panics, bool returns and the per-thread
- * TxOutcome side channel. The Txn handle API collapses all of them
- * into one Status returned from Txn::commit(); WalFullError stays an
- * exception only inside the WAL layer, and the handle layer converts
- * it (and the new abort reasons) into codes.
+ * Txn::commit() (and rollback(), bind(), tryBeginTxn()) report every
+ * way a transaction can end as one Status: WAL overflow, deadlock
+ * victim, snapshot conflict, bounded-wait timeout, misuse. Inside the
+ * engine, WalFullError and TxnAbortError stay exceptions so a failing
+ * statement unwinds; the Txn layer turns them into codes.
  */
 
 #ifndef ESPRESSO_DB_STATUS_HH
@@ -37,12 +36,12 @@ enum class StatusCode
      * row committed after its snapshot was taken. Rolled back. */
     kConflict,
 
-    /** API misuse (commit without begin, double rollback, use after
-     * abort). */
+    /** API misuse (an empty or finished handle, a transaction bound
+     * to another thread). */
     kMisuse,
 
-    /** A statement inside the transaction failed and the transaction
-     * was rolled back. */
+    /** The transaction was rolled back: a statement inside it failed,
+     * or a power failure took it. */
     kAborted,
 
     /** The engine is saturated and declined the work. On begin: no
@@ -108,10 +107,10 @@ class Status
 
 /**
  * Thrown by the row layer when a transaction must abort mid-flight
- * (deadlock victim, snapshot write conflict). The engine catches it,
- * rolls the transaction back, and surfaces it as a Status through
- * Txn::commit() — it escapes to callers of the legacy implicit API
- * so their catch(FatalError) paths keep working.
+ * (deadlock victim, snapshot write conflict, bounded-wait timeout).
+ * The engine catches it, rolls the transaction back, rethrows it to
+ * the statement's caller (a FatalError, so catch(FatalError) paths
+ * see it), and reports it again from Txn::commit().
  */
 class TxnAbortError : public FatalError
 {

@@ -1,18 +1,23 @@
 /**
  * @file
- * The explicit transaction-handle API and the MVCC clock machinery.
+ * db::Txn, the one way to run an explicit transaction on a Database or
+ * a ShardedDatabase, and the MVCC clock machinery under it.
  *
- * PR 6 replaces the implicit per-thread begin()/commit()/rollback() +
- * lastTxOutcome() side channel with an RAII db::Txn handle carrying
- * TxnOptions{isolation}. The old per-thread API survives as a thin
- * shim over the same engine internals, so existing callers compile
- * unchanged.
+ * A Txn owns its engine state (TxnState): the WAL shard token, the
+ * row write set and the snapshot. It is bound to the thread that
+ * began it, so statements on that thread (persistRecord, fetchRecord,
+ * scanEq, executeSql, ...) run inside it; statements on a thread with
+ * no bound transaction auto-commit. unbind() parks a Txn and bind()
+ * adopts it on another thread. commit() and rollback() work on the
+ * bound thread, or on any thread while the Txn is parked. Dropping an
+ * open Txn rolls it back. A Txn begun before a simulated power
+ * failure (crash(), or a SimulatedCrash thrown through its statements
+ * or commit) is inert: finishing or dropping it touches no engine
+ * state.
  *
  * Isolation levels:
- *  - kReadUncommitted (default, the pre-PR-6 behavior): reads never
- *    see torn rows but may see in-flight row images. Zero MVCC
- *    overhead on the write path while no snapshot has ever been
- *    taken.
+ *  - kReadUncommitted (default): reads never see torn rows but may
+ *    see in-flight row images.
  *  - kSnapshot: the transaction takes a consistent snapshot S at
  *    begin. Reads resolve every row to its newest version committed
  *    at or before S, reconstructing overwritten rows from volatile
@@ -27,7 +32,8 @@
  * Version words: row header word 1 holds the row's commit timestamp
  * (clean, top bit 0) or an in-flight dirty marker packing the
  * writer's token + begin sequence; readers resolve markers through
- * the writer's TxnCtrl block.
+ * the writer's TxnCtrl block. Every writer saves pre-images and
+ * stamps its commit timestamp, so a snapshot may begin at any time.
  */
 
 #ifndef ESPRESSO_DB_TXN_HH
@@ -35,8 +41,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "db/status.hh"
@@ -134,35 +141,20 @@ class SnapshotClock
   public:
     static constexpr Word kNoActiveSnapshots = ~Word(0);
 
-    /** Guards clock/saveMode/the registry; held across commit-ts
+    /** Guards clock and the registry; held across commit-ts
      * publication and snapshot-begin reads. */
     SpinLock mu;
 
     /** Last committed timestamp (starts at 1; guarded by mu). */
     Word clock = 1;
 
-    /** Sticky: set by the first snapshot ever taken; from then on
-     * every writer maintains version chains and dirty markers.
-     * Guarded by mu. */
-    bool saveMode = false;
-
-    /** Register a snapshot and return its timestamp S. Drains
-     * writers that began before save mode (their commits carry no
-     * stamps, which is only sound if they finish before this
-     * snapshot's first read). */
+    /** Register a snapshot and return its timestamp S. */
     Word
     beginSnapshot()
     {
-        Word s;
-        {
-            SpinGuard g(mu);
-            saveMode = true;
-            s = clock;
-            active_.insert(s);
-        }
-        while (noSaveInflight_.load(std::memory_order_acquire) != 0)
-            std::this_thread::yield();
-        return s;
+        SpinGuard g(mu);
+        active_.insert(clock);
+        return clock;
     }
 
     void
@@ -192,26 +184,6 @@ class SnapshotClock
         return {active_.begin(), active_.end()};
     }
 
-    /** Writer admission at begin: true = maintain version chains
-     * (save mode); false = the legacy zero-overhead path, counted so
-     * a later snapshot can drain it. */
-    bool
-    enterWriter()
-    {
-        SpinGuard g(mu);
-        if (saveMode)
-            return true;
-        noSaveInflight_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-
-    void
-    exitWriter(bool save_images)
-    {
-        if (!save_images)
-            noSaveInflight_.fetch_sub(1, std::memory_order_release);
-    }
-
     /** Raise the clock to at least @p v (crash recovery: committed
      * rows must stay in the past of new snapshots). */
     void
@@ -222,93 +194,140 @@ class SnapshotClock
             clock = v;
     }
 
-    /** After a simulated power failure: registered snapshots and
-     * counted writers belong to dead threads (callers quiesced). The
-     * clock value itself only ever ratchets up. */
+    /** After a simulated power failure: registered snapshots belong
+     * to dead transactions (callers quiesced). The clock value
+     * itself only ever ratchets up. */
     void
     resetAfterCrash()
     {
-        {
-            SpinGuard g(mu);
-            active_.clear();
-        }
-        noSaveInflight_.store(0, std::memory_order_release);
+        SpinGuard g(mu);
+        active_.clear();
     }
 
   private:
     std::multiset<Word> active_; ///< guarded by mu
-    std::atomic<Word> noSaveInflight_{0};
 };
 
+/** Never-recycled token of the calling thread (std::thread::id
+ * values can be reused by a later thread). */
+std::uint64_t currentThreadToken();
+
 /**
- * An explicit transaction handle. Move-only and thread-affine: it
- * must be committed/rolled back on the thread that began it (the
- * engine's transaction state is per-thread). Destroying an open
- * handle rolls the transaction back.
+ * Engine-side state of one transaction, owned by its Txn. Database
+ * and ShardedDatabase each derive their own.
+ */
+class TxnState
+{
+  public:
+    TxnState() = default;
+    virtual ~TxnState() = default;
+    TxnState(const TxnState &) = delete;
+    TxnState &operator=(const TxnState &) = delete;
+
+    /** Open: not finished, not rolled back by the engine, not lost to
+     * a power failure. */
+    virtual bool active() const = 0;
+
+    /** Commit or roll back; the state is spent afterwards. Called on
+     * the bound thread or while parked. */
+    virtual Status finish(bool commit) = 0;
+
+    /** Commit, then report through @p done (inline by default).
+     * @p self owns this state, so a commit may outlive its handle. */
+    virtual void
+    commitAsync(std::unique_ptr<TxnState> self,
+                std::function<void(Status)> done)
+    {
+        done(self->finish(true));
+    }
+
+    /** Bind to the calling thread; kMisuse when the thread already
+     * runs an active transaction on the same engine. */
+    virtual Status bind();
+    virtual void unbind();
+
+    /** A power failure took the transaction: finishing or dropping
+     * it must not touch the engine. */
+    virtual void lose() = 0;
+
+    /** The engine instance (binding key). */
+    const void *owner = nullptr;
+    /** currentThreadToken() of the bound thread (0 = parked). */
+    std::uint64_t boundTo = 0;
+    /** The snapshot timestamp (kNoSnapshot for kReadUncommitted). */
+    Word snapshot = kNoSnapshot;
+};
+
+/** The calling thread's bound, active transaction on @p owner, or
+ * null. */
+TxnState *boundTxn(const void *owner);
+
+/**
+ * An explicit transaction (see the file comment). Move-only; an
+ * empty handle (default-constructed, moved from, or finished)
+ * reports kMisuse.
  */
 class Txn
 {
   public:
     Txn() = default;
+    Txn(Txn &&) noexcept = default;
+    Txn &operator=(Txn &&o) noexcept;
+    ~Txn();
 
     Txn(const Txn &) = delete;
     Txn &operator=(const Txn &) = delete;
 
-    Txn(Txn &&o) noexcept { moveFrom(o); }
-
-    Txn &
-    operator=(Txn &&o) noexcept
+    /** True while this handle's transaction is open. */
+    bool
+    active() const
     {
-        if (this != &o) {
-            abandon();
-            moveFrom(o);
-        }
-        return *this;
+        return state_ != nullptr && state_->active();
     }
 
-    ~Txn();
-
-    /** True while this handle's transaction is open. */
-    bool active() const;
+    /** The snapshot timestamp (kNoSnapshot for kReadUncommitted). */
+    Word
+    snapshot() const
+    {
+        return state_ != nullptr ? state_->snapshot : kNoSnapshot;
+    }
 
     /** Commit; every failure mode (WAL overflow, deadlock victim,
-     * snapshot write conflict, engine-side abort) comes back as a
-     * Status instead of an exception. */
+     * snapshot write conflict, bounded-wait kBusy) comes back as a
+     * Status. From a thread the transaction is not bound to: kMisuse,
+     * and the transaction stays open. */
     Status commit();
 
+    /** Roll back; a quiet ok after an engine-side abort. */
     Status rollback();
 
-    /** The snapshot timestamp (kNoSnapshot for kReadUncommitted). */
-    Word snapshot() const { return snapshot_; }
+    /** Commit without blocking the calling thread where the engine
+     * can: @p done fires once the commit is durable (see
+     * Database::beginTxn and ShardedDatabase::beginTxn). */
+    void commitAsync(std::function<void(Status)> done);
+
+    /** Adopt a parked transaction on the calling thread. */
+    Status bind();
+
+    /** Park the transaction (it must be bound to the calling
+     * thread). */
+    Status unbind();
 
   private:
     friend class Database;
     friend class ShardedDatabase;
 
-    Txn(Database *db, ShardedDatabase *sdb, std::uint64_t seq,
-        Word snapshot)
-        : db_(db), sdb_(sdb), seq_(seq), snapshot_(snapshot)
+    explicit Txn(std::unique_ptr<TxnState> state)
+        : state_(std::move(state))
     {}
 
-    void
-    moveFrom(Txn &o)
-    {
-        db_ = o.db_;
-        sdb_ = o.sdb_;
-        seq_ = o.seq_;
-        snapshot_ = o.snapshot_;
-        o.db_ = nullptr;
-        o.sdb_ = nullptr;
-        o.seq_ = 0;
-    }
+    /** Bound to a thread other than the calling one. */
+    bool foreign() const;
 
-    /** Best-effort rollback of a still-open handle (dtor / move). */
-    void abandon();
+    /** Finish through @p commit or roll back; empty afterwards. */
+    Status finish(bool commit);
 
-    Database *db_ = nullptr;
-    ShardedDatabase *sdb_ = nullptr;
-    std::uint64_t seq_ = 0;
-    Word snapshot_ = kNoSnapshot;
+    std::unique_ptr<TxnState> state_;
 };
 
 } // namespace db

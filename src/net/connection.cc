@@ -250,12 +250,12 @@ Connection::opRead(WireOp op, WireReader &r, const SlotPtr &slot)
         fillSimple(slot, op, WireStatus::kBadRequest);
         return;
     }
-    if (txnId_ != 0) {
+    if (txn_ != nullptr) {
         if (txnDead_) {
             fillSimple(slot, op, WireStatus::kAborted);
             return;
         }
-        if (!db_->bindDetached(txnId_)) {
+        if (!txn_->bind().isOk()) {
             fillSimple(slot, op, WireStatus::kMisuse);
             return;
         }
@@ -307,13 +307,13 @@ Connection::opRead(WireOp op, WireReader &r, const SlotPtr &slot)
         }
     } catch (const db::TxnAbortError &e) {
         st = mapCode(e.code());
-        if (txnId_ != 0)
+        if (txn_ != nullptr)
             txnDead_ = true;
     } catch (const std::exception &) {
         st = WireStatus::kError;
     }
-    if (txnId_ != 0)
-        db_->unbindDetached(txnId_);
+    if (txn_ != nullptr)
+        (void)txn_->unbind();
     if (have_payload)
         fillPayload(slot, std::move(w));
     else
@@ -361,7 +361,7 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
         return;
     }
 
-    if (txnId_ != 0) {
+    if (txn_ != nullptr) {
         // Explicit bracket: bind, execute through the routed sharded
         // path, unbind. The response is immediate — durability is
         // the commit's contract.
@@ -369,7 +369,7 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
             fillSimple(slot, op, WireStatus::kAborted);
             return;
         }
-        if (!db_->bindDetached(txnId_)) {
+        if (!txn_->bind().isOk()) {
             fillSimple(slot, op, WireStatus::kMisuse);
             return;
         }
@@ -386,7 +386,7 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
         } catch (const std::exception &) {
             st = WireStatus::kError; // statement failed; bracket lives
         }
-        db_->unbindDetached(txnId_);
+        (void)txn_->unbind();
         if (st == WireStatus::kOk && opHasFlag(op)) {
             WireWriter w;
             w.begin(op, static_cast<std::uint16_t>(st));
@@ -456,10 +456,10 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
     }
 
     // The pipelining fast path: execute the row mutation now on the
-    // worker (so this connection's next frame sees it), park the
-    // member session, and let the group-commit drainer make it
-    // durable — concurrent connections' fences coalesce there. The
-    // response completes from the drainer callback, in slot order.
+    // worker (so this connection's next frame sees it), and let the
+    // group-commit drainer make it durable — concurrent connections'
+    // fences coalesce there. The response completes from the drainer
+    // callback, in slot order.
     if (!srv_->admit(worker_)) {
         srv_->stats_.admissionRejects.fetch_add(
             1, std::memory_order_relaxed);
@@ -467,19 +467,13 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
         return;
     }
     db::Database &member = db_->shardForPk(pk);
-    std::uint64_t sid = 0;
-    db::Status bst = member.beginDetached({}, &sid);
+    db::Txn t;
+    db::Status bst = member.tryBeginTxn({}, &t);
     if (!bst.isOk()) {
         srv_->noteWorkDone(worker_);
         srv_->stats_.admissionRejects.fetch_add(
             1, std::memory_order_relaxed);
         fillSimple(slot, op, mapCode(bst.code()));
-        return;
-    }
-    if (!member.bindDetached(sid)) {
-        (void)member.rollbackDetached(sid);
-        srv_->noteWorkDone(worker_);
-        fillSimple(slot, op, WireStatus::kError);
         return;
     }
     WireStatus st = WireStatus::kOk;
@@ -493,36 +487,33 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
     } catch (const std::exception &) {
         st = WireStatus::kError;
     }
-    member.unbindDetached(sid);
     if (st != WireStatus::kOk) {
-        (void)member.rollbackDetached(sid); // dispose the session
+        (void)t.rollback();
         srv_->noteWorkDone(worker_);
         fillSimple(slot, op, st);
         return;
     }
     auto self = shared_from_this();
-    member.commitDetachedAsync(
-        sid, [this, self, slot, op, flag](db::Status s) {
-            loop_->post([this, self, slot, op, flag, s] {
-                srv_->noteWorkDone(worker_);
-                if (closed_)
-                    return;
-                if (s.isOk())
-                    srv_->stats_.txnsCommitted.fetch_add(
-                        1, std::memory_order_relaxed);
-                if (s.isOk() && opHasFlag(op)) {
-                    WireWriter w;
-                    w.begin(op, static_cast<std::uint16_t>(
-                                    WireStatus::kOk));
-                    w.putU8(flag);
-                    w.finish();
-                    fillPayload(slot, std::move(w));
-                } else {
-                    fillSimple(slot, op, mapCode(s.code()));
-                }
-                updateInterest();
-            });
+    t.commitAsync([this, self, slot, op, flag](db::Status s) {
+        loop_->post([this, self, slot, op, flag, s] {
+            srv_->noteWorkDone(worker_);
+            if (closed_)
+                return;
+            if (s.isOk())
+                srv_->stats_.txnsCommitted.fetch_add(
+                    1, std::memory_order_relaxed);
+            if (s.isOk() && opHasFlag(op)) {
+                WireWriter w;
+                w.begin(op, static_cast<std::uint16_t>(WireStatus::kOk));
+                w.putU8(flag);
+                w.finish();
+                fillPayload(slot, std::move(w));
+            } else {
+                fillSimple(slot, op, mapCode(s.code()));
+            }
+            updateInterest();
         });
+    });
 }
 
 void
@@ -533,27 +524,28 @@ Connection::opBegin(WireReader &r, const SlotPtr &slot)
         fillSimple(slot, WireOp::kBegin, WireStatus::kBadRequest);
         return;
     }
-    if (txnId_ != 0) {
+    if (txn_ != nullptr) {
         fillSimple(slot, WireOp::kBegin, WireStatus::kMisuse);
         return;
     }
     db::TxnOptions opts;
     opts.isolation = iso == 1 ? db::Isolation::kSnapshot
                               : db::Isolation::kReadUncommitted;
-    std::uint64_t bid = 0;
-    db::Status s = db_->beginDetached(opts, &bid);
+    auto txn = std::make_shared<db::Txn>();
+    db::Status s = db_->tryBeginTxn(opts, txn.get());
     if (!s.isOk()) {
         srv_->stats_.admissionRejects.fetch_add(
             1, std::memory_order_relaxed);
         fillSimple(slot, WireOp::kBegin, mapCode(s.code()));
         return;
     }
-    txnId_ = bid;
+    (void)txn->unbind();
+    txn_ = std::move(txn);
     txnDead_ = false;
     WireWriter w;
     w.begin(WireOp::kBegin,
             static_cast<std::uint16_t>(WireStatus::kOk));
-    w.putU64(bid);
+    w.putU64(++txnCount_);
     w.finish();
     fillPayload(slot, std::move(w));
 }
@@ -561,20 +553,17 @@ Connection::opBegin(WireReader &r, const SlotPtr &slot)
 void
 Connection::opFinishTxn(WireOp op, const SlotPtr &slot)
 {
-    if (txnId_ == 0) {
+    if (txn_ == nullptr) {
         fillSimple(slot, op, WireStatus::kMisuse);
         return;
     }
-    std::uint64_t bid = txnId_;
     bool commit = op == WireOp::kCommit;
-    auto db = db_;
     auto *srv = srv_;
     runOnPool(
         op, slot,
-        [db, srv, bid, commit]() {
+        [txn = txn_, srv, commit]() {
             PoolResult out;
-            db::Status s = commit ? db->commitDetached(bid)
-                                  : db->rollbackDetached(bid);
+            db::Status s = commit ? txn->commit() : txn->rollback();
             out.status = mapCode(s.code());
             if (commit && s.isOk())
                 srv->stats_.txnsCommitted.fetch_add(
@@ -597,11 +586,12 @@ Connection::runOnPool(WireOp op, const SlotPtr &slot,
         fillSimple(slot, op, WireStatus::kBusy);
         return;
     }
+    if (ends_txn)
+        txn_.reset(); // the job owns the bracket now
     paused_ = true;
     updateInterest();
     auto self = shared_from_this();
-    srv_->submitJob([this, self, op, slot, ends_txn,
-                     job = std::move(job)]() {
+    srv_->submitJob([this, self, op, slot, job = std::move(job)]() {
         PoolResult pr;
         try {
             pr = job();
@@ -609,16 +599,11 @@ Connection::runOnPool(WireOp op, const SlotPtr &slot,
             pr = PoolResult{};
             pr.status = WireStatus::kError;
         }
-        loop_->post([this, self, op, slot, ends_txn, pr] {
+        loop_->post([this, self, op, slot, pr] {
             srv_->noteWorkDone(worker_);
             if (closed_)
                 return;
             paused_ = false;
-            if (ends_txn) {
-                // The bracket was consumed whatever the outcome.
-                txnId_ = 0;
-                txnDead_ = false;
-            }
             if (pr.status == WireStatus::kOk && pr.hasFlag) {
                 WireWriter w;
                 w.begin(op, static_cast<std::uint16_t>(pr.status));
@@ -738,18 +723,15 @@ Connection::close(bool overflow)
     slots_.clear();
     rbuf_.clear();
     rhead_ = 0;
-    if (txnId_ != 0) {
+    if (txn_ != nullptr) {
         // Mid-transaction disconnect: roll the parked bracket back
         // on the pool so its WAL shard tokens and row locks free
         // even though the client is gone.
-        std::uint64_t bid = txnId_;
-        txnId_ = 0;
         srv_->forceAdmit(worker_);
         auto *srv = srv_;
-        auto db = db_;
         unsigned worker = worker_;
-        srv_->submitJob([srv, db, bid, worker]() {
-            (void)db->rollbackDetached(bid);
+        srv_->submitJob([srv, txn = std::move(txn_), worker]() {
+            (void)txn->rollback();
             srv->stats_.txnsAborted.fetch_add(
                 1, std::memory_order_relaxed);
             srv->noteWorkDone(worker);

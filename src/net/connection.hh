@@ -12,15 +12,16 @@
  * the worker while their K durability fences coalesce in the
  * group-commit drainer.
  *
- * Statement execution maps onto the engine's detached sessions:
+ * Statement execution maps onto db::Txn:
  *
- *  - auto-commit write: route by pk, open a nowait detached session
- *    on the owning member, execute, park, commitDetachedAsync — the
- *    response fires from the drainer's completion;
- *  - explicit transaction: kBegin opens a sharded detached bracket;
- *    each op binds it, executes, unbinds; kCommit/kRollback run on
- *    the committer pool (2PC may fence several times) with the
- *    connection paused so in-order semantics hold;
+ *  - auto-commit write: route by pk, tryBeginTxn on the owning
+ *    member, execute, Txn::commitAsync — the response fires from the
+ *    group-commit drainer's completion;
+ *  - explicit transaction: kBegin opens a sharded bracket with
+ *    tryBeginTxn and parks it; each op binds it, executes, unbinds;
+ *    kCommit/kRollback finish the parked bracket on the committer
+ *    pool (2PC may fence several times) with the connection paused
+ *    so in-order semantics hold;
  *  - reads execute inline on the worker (lock-free row probes).
  *
  * Failure containment: an engine abort (WAL-full, deadlock victim,
@@ -42,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "db/txn.hh"
 #include "net/server.hh"
 #include "net/wire_protocol.hh"
 #include "util/fd.hh"
@@ -122,7 +124,7 @@ class Connection : public std::enable_shared_from_this<Connection>
                                std::int64_t pk);
 
     /** Run @p job on the committer pool with the connection paused;
-     * @p ends_txn clears the bracket on completion. */
+     * @p ends_txn hands the bracket over to the job. */
     void runOnPool(WireOp op, const SlotPtr &slot,
                    std::function<PoolResult()> job, bool ends_txn);
 
@@ -154,8 +156,11 @@ class Connection : public std::enable_shared_from_this<Connection>
      * completion (read interest is dropped). */
     bool paused_ = false;
 
-    /** Open sharded detached-bracket id (0 = auto-commit mode). */
-    std::uint64_t txnId_ = 0;
+    /** The parked explicit bracket (null = auto-commit mode); shared
+     * so a pool job can own it. */
+    std::shared_ptr<db::Txn> txn_;
+    /** Brackets begun on this connection (the kBegin reply's id). */
+    std::uint64_t txnCount_ = 0;
     /** The engine killed the bracket mid-statement; ops answer
      * kAborted until the client closes the bracket. */
     bool txnDead_ = false;

@@ -8,11 +8,11 @@
  *    the worker loops round-robin;
  *  - N worker EventLoops (ESPRESSO_NET_WORKERS) own the connections:
  *    parse frames, execute statements, and never block on another
- *    session — begins are nowait (kBusy when the engine is
- *    saturated), row-lock waits are bounded, and commit durability
- *    is handed off;
+ *    session — transactions open through tryBeginTxn (kBusy when
+ *    the engine is saturated), row-lock waits are bounded, and
+ *    commit durability is handed off;
  *  - auto-commit write durability parks in the group-commit
- *    coordinator via commitDetachedAsync (the drainer thread batches
+ *    coordinator via Txn::commitAsync (the drainer thread batches
  *    concurrent connections' fences and completes the responses);
  *  - a small committer pool runs the operations that may legally
  *    block: explicit-transaction commit/rollback (2PC fences) and

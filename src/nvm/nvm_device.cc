@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <thread>
 #include <unordered_map>
 
@@ -15,6 +16,15 @@ namespace espresso {
 namespace {
 
 std::atomic<std::uint64_t> g_deviceSerial{1};
+
+std::uint8_t *
+zeroedBytes(std::size_t n)
+{
+    void *p = std::calloc(n, 1);
+    if (p == nullptr && n != 0)
+        throw std::bad_alloc();
+    return static_cast<std::uint8_t *>(p);
+}
 
 void
 yieldFor(std::uint64_t ns)
@@ -56,7 +66,7 @@ spinFor(std::uint64_t ns)
 
 NvmDevice::NvmDevice(std::size_t size, NvmConfig cfg)
     : size_(alignUp(size, kCacheLineSize)), cfg_(cfg),
-      working_(size_, 0), durable_(size_, 0),
+      working_(zeroedBytes(size_)), durable_(zeroedBytes(size_)),
       serial_(g_deviceSerial.fetch_add(1, std::memory_order_relaxed))
 {
     if (size == 0)
@@ -151,7 +161,7 @@ NvmDevice::fence()
 void
 NvmDevice::commitLine(std::size_t line_off)
 {
-    std::memcpy(durable_.data() + line_off, working_.data() + line_off,
+    std::memcpy(durable_.get() + line_off, working_.get() + line_off,
                 kCacheLineSize);
 }
 
@@ -164,21 +174,21 @@ NvmDevice::crash(CrashMode mode, std::uint64_t seed)
         // DIMM before power was lost.
         Rng rng(seed);
         for (std::size_t line = 0; line < size_; line += kCacheLineSize) {
-            if (std::memcmp(working_.data() + line, durable_.data() + line,
+            if (std::memcmp(working_.get() + line, durable_.get() + line,
                             kCacheLineSize) != 0 &&
                 rng.nextBool()) {
                 commitLine(line);
             }
         }
     }
-    std::memcpy(working_.data(), durable_.data(), size_);
+    std::memcpy(working_.get(), durable_.get(), size_);
 }
 
 void
 NvmDevice::shutdownClean()
 {
     clearAllShards();
-    std::memcpy(durable_.data(), working_.data(), size_);
+    std::memcpy(durable_.get(), working_.get(), size_);
 }
 
 void
@@ -187,7 +197,7 @@ NvmDevice::saveDurable(const std::string &path) const
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         fatal("NvmDevice: cannot open " + path + " for writing");
-    out.write(reinterpret_cast<const char *>(durable_.data()),
+    out.write(reinterpret_cast<const char *>(durable_.get()),
               static_cast<std::streamsize>(size_));
     if (!out)
         fatal("NvmDevice: short write to " + path);
@@ -199,12 +209,12 @@ NvmDevice::loadDurable(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("NvmDevice: cannot open " + path + " for reading");
-    in.read(reinterpret_cast<char *>(durable_.data()),
+    in.read(reinterpret_cast<char *>(durable_.get()),
             static_cast<std::streamsize>(size_));
     if (in.gcount() != static_cast<std::streamsize>(size_))
         fatal("NvmDevice: short read from " + path);
     clearAllShards();
-    std::memcpy(working_.data(), durable_.data(), size_);
+    std::memcpy(working_.get(), durable_.get(), size_);
 }
 
 } // namespace espresso

@@ -25,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -116,28 +117,28 @@ class NvmDevice
     NvmConfig &config() { return cfg_; }
 
     /** Base of the working image; all managed addresses point here. */
-    std::uint8_t *base() { return working_.data(); }
-    const std::uint8_t *base() const { return working_.data(); }
+    std::uint8_t *base() { return working_.get(); }
+    const std::uint8_t *base() const { return working_.get(); }
 
     /** Address of byte offset @p off in the working image. */
     Addr
     toAddr(std::size_t off) const
     {
-        return reinterpret_cast<Addr>(working_.data()) + off;
+        return reinterpret_cast<Addr>(working_.get()) + off;
     }
 
     /** Offset of working-image address @p a. */
     std::size_t
     toOffset(Addr a) const
     {
-        return a - reinterpret_cast<Addr>(working_.data());
+        return a - reinterpret_cast<Addr>(working_.get());
     }
 
     /** True if @p a points into this device's working image. */
     bool
     contains(Addr a) const
     {
-        Addr b = reinterpret_cast<Addr>(working_.data());
+        Addr b = reinterpret_cast<Addr>(working_.get());
         return a >= b && a < b + size_;
     }
 
@@ -208,10 +209,19 @@ class NvmDevice
      * image load — callers are quiesced by contract). */
     void clearAllShards();
 
+    struct FreeBytes
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+    using Image = std::unique_ptr<std::uint8_t[], FreeBytes>;
+
     std::size_t size_;
     NvmConfig cfg_;
-    std::vector<std::uint8_t> working_;
-    std::vector<std::uint8_t> durable_;
+    /** Zeroed by calloc, which leaves memory the kernel hands out
+     * already zeroed untouched: a new device's pages fault in on
+     * first use, not all at construction. */
+    Image working_;
+    Image durable_;
     /** Device identity for the thread-local shard cache; never
      * reused across devices. */
     std::uint64_t serial_;

@@ -20,10 +20,9 @@ EntityManager::setPhaseTimer(PhaseTimer *timer)
 void
 EntityManager::begin()
 {
-    if (inTx_)
+    if (tx_.active())
         fatal("EntityManager: transaction already open");
-    db_->begin();
-    inTx_ = true;
+    tx_ = db_->beginTxn();
 }
 
 Entity *
@@ -73,7 +72,7 @@ EntityManager::remove(Entity *entity)
 void
 EntityManager::commit()
 {
-    if (!inTx_)
+    if (!tx_.active())
         fatal("EntityManager::commit without begin");
 
     // New entities first (referential ordering is the app's job, as
@@ -106,8 +105,9 @@ EntityManager::commit()
         }
     }
 
-    db_->commit();
-    inTx_ = false;
+    db::Status s = tx_.commit();
+    if (!s.isOk())
+        fatal("EntityManager::commit: " + s.message());
 
     for (Entity *e : pendingNew_) {
         if (e->stateManager().state() != EntityState::kRemoved)
@@ -127,7 +127,7 @@ EntityManager::commit()
 void
 EntityManager::clear()
 {
-    if (inTx_)
+    if (tx_.active())
         fatal("EntityManager::clear inside a transaction");
     cache_.clear();
     pendingNew_.clear();

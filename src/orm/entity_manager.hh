@@ -96,7 +96,7 @@ class EntityManager
     Provider *provider_;
     const Enhancer *enhancer_;
     PhaseTimer *timer_ = nullptr;
-    bool inTx_ = false;
+    db::Txn tx_;
 
     std::vector<std::unique_ptr<Entity>> owned_;
     std::vector<Entity *> pendingNew_;

@@ -233,14 +233,16 @@ sweepSequence(const char *name, const Sequence &seq, CrashMode mode,
 TEST(CrashMatrixTest, PjhSequencesConservative)
 {
     for (const auto &[name, seq] : sequences())
-        sweepSequence(name, seq, CrashMode::kDiscardUnflushed, 1);
+        sweepSequence(name, seq, CrashMode::kDiscardUnflushed, 1,
+                      /*lean=*/true);
 }
 
 TEST(CrashMatrixTest, PjhSequencesWithCacheEviction)
 {
     for (const auto &[name, seq] : sequences())
         for (std::uint64_t seed : {101u, 202u})
-            sweepSequence(name, seq, CrashMode::kEvictRandomLines, seed);
+            sweepSequence(name, seq, CrashMode::kEvictRandomLines, seed,
+                          /*lean=*/true);
 }
 
 TEST(CrashMatrixTest, PnewTornTailSweepWithCacheEviction)
@@ -1073,10 +1075,10 @@ sweepWal(const WalScenario &sc, CrashMode mode, std::uint64_t seed)
         inj.arm(event);
         bool crashed = false;
         try {
-            d->begin();
+            db::Txn t = d->beginTxn();
             for (const char *sql : sc.body)
                 d->executeSql(sql);
-            d->commit();
+            ASSERT_TRUE(t.commit().isOk()) << sc.name << " event " << event;
         } catch (const SimulatedCrash &) {
             crashed = true;
         }

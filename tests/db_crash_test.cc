@@ -5,12 +5,16 @@
  * either the whole transaction or none of it — under both crash
  * modes. Also sweeps DDL (catalog publication) and the cross-shard
  * two-phase commit protocol (prepare / decision / finish windows).
+ * Every transaction runs in a db::Txn that stays in scope while the
+ * power fails under it, so its unwinding must leave the engine alone.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 
 #include "db/database.hh"
@@ -31,15 +35,25 @@ makeDb()
     return std::make_unique<Database>(cfg);
 }
 
+/** Commit @p t; a status other than ok is an engine failure, thrown
+ * like any other so the sweeps' unexpected-error paths see it. */
+void
+commitOrThrow(Txn &t)
+{
+    Status s = t.commit();
+    if (!s.isOk())
+        throw std::runtime_error("commit failed: " + s.message());
+}
+
 void
 transferWorkload(Database &db)
 {
-    db.begin();
+    Txn t = db.beginTxn();
     db.executeSql("UPDATE ACCT SET BAL = 70 WHERE ID = 1");
     db.executeSql("UPDATE ACCT SET BAL = 130 WHERE ID = 2");
     db.executeSql(
         "INSERT INTO ACCT (ID, BAL) VALUES (3, 0)"); // audit row
-    db.commit();
+    commitOrThrow(t);
 }
 
 void
@@ -154,7 +168,7 @@ runWorkload(Database &db, std::atomic<bool> *saw_unexpected)
                 std::this_thread::yield();
             try {
                 for (int i = 1; i <= kTxnsPerThread; ++i) {
-                    db.begin();
+                    Txn txn = db.beginTxn();
                     for (int k = 0; k < kKeysPerThread; ++k) {
                         DbRecord rec;
                         rec.values = {
@@ -164,7 +178,7 @@ runWorkload(Database &db, std::atomic<bool> *saw_unexpected)
                         rec.dirtyMask = 1ull << 1;
                         db.persistRecord("ACCT", rec);
                     }
-                    db.commit();
+                    commitOrThrow(txn);
                     committed[t] = i;
                 }
             } catch (const SimulatedCrash &) {
@@ -365,13 +379,13 @@ runRounds(ShardedDatabase &db, const std::vector<std::int64_t> &keys)
     int acked = 0;
     try {
         for (int i = 1; i <= kRounds; ++i) {
-            db.begin();
+            Txn txn = db.beginTxn();
             for (std::int64_t pk : keys) {
                 DbRecord rec = kvRow(pk, i);
                 rec.dirtyMask = 1ull << 1;
                 db.persistRecord("KV", rec);
             }
-            db.commit();
+            commitOrThrow(txn);
             acked = i;
         }
     } catch (const SimulatedCrash &) {
@@ -443,10 +457,10 @@ twopcSweep(CrashMode mode, std::uint64_t window_us)
         EXPECT_EQ(db->rowCount("KV"), keys.size());
 
         // The recovered fabric accepts new cross-shard brackets.
-        db->begin();
+        Txn txn = db->beginTxn();
         for (std::int64_t pk : keys)
             db->persistRecord("KV", kvRow(pk, 99));
-        db->commit();
+        commitOrThrow(txn);
         DbRecord out;
         ASSERT_TRUE(db->fetchRecord("KV", keys.front(), &out));
         EXPECT_EQ(out.values[1].i, 99);
@@ -568,10 +582,10 @@ elasticSweep(CrashMode mode, bool grow_dir, std::uint64_t seed,
         }
 
         // The resumed membership accepts new cross-shard brackets.
-        db->begin();
+        Txn txn = db->beginTxn();
         for (std::int64_t pk = 0; pk < kKeys; ++pk)
             db->persistRecord("KV", twopc::kvRow(pk, 99));
-        db->commit();
+        commitOrThrow(txn);
         DbRecord out;
         ASSERT_TRUE(db->fetchRecord("KV", 0, &out));
         EXPECT_EQ(out.values[1].i, 99);
@@ -627,6 +641,172 @@ TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionEager)
 TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionGroupCommit)
 {
     twopc::twopcSweep(CrashMode::kEvictRandomLines, 2000);
+}
+
+// ---------------------------------------------------------------------
+// The Txn power-failure contract: a Txn kept in scope around begin,
+// two statements and commit() while the power fails under any of them
+// unwinds without touching the engine; recovery leaves the bracket
+// whole or absent, with every WAL shard token free.
+// ---------------------------------------------------------------------
+
+namespace inscope {
+
+/** Crash @p bracket at every persistence event. @p make builds the
+ * engine with @p inj on every device; @p applied reads the bracket's
+ * rows back: 0 untouched, 1 applied, anything else torn. */
+template <typename Engine>
+void
+sweep(const std::function<std::unique_ptr<Engine>(CrashInjector *)> &make,
+      const std::function<void(Engine &)> &bracket,
+      const std::function<int(Engine &)> &applied, CrashMode mode)
+{
+    setWarningsEnabled(false);
+    for (std::uint64_t event = 1;; ++event) {
+        CrashInjector inj;
+        std::unique_ptr<Engine> db = make(&inj);
+        inj.arm(event);
+        bool crashed = false;
+        try {
+            bracket(*db);
+        } catch (const SimulatedCrash &) {
+            crashed = true;
+        }
+        inj.disarm();
+        if (!crashed) {
+            EXPECT_EQ(applied(*db), 1) << "clean run";
+            break;
+        }
+        db->crash(mode, 300 + event);
+        int state = applied(*db);
+        EXPECT_TRUE(state == 0 || state == 1)
+            << "event " << event << ": torn bracket";
+        EXPECT_EQ(db->busyWalShards(), 0u) << "event " << event;
+        if (testing::Test::HasFailure())
+            break;
+    }
+    setWarningsEnabled(true);
+}
+
+std::unique_ptr<Database>
+makeAcct(CrashInjector *inj)
+{
+    auto db = makeDb();
+    db->executeSql("CREATE TABLE ACCT (ID BIGINT PRIMARY KEY, BAL BIGINT)");
+    db->executeSql("INSERT INTO ACCT (ID, BAL) VALUES (1, 100)");
+    db->executeSql("INSERT INTO ACCT (ID, BAL) VALUES (2, 100)");
+    db->device().setInjector(inj);
+    return db;
+}
+
+void
+transfer(Database &db)
+{
+    Txn t = db.beginTxn();
+    db.executeSql("UPDATE ACCT SET BAL = 70 WHERE ID = 1");
+    db.executeSql("UPDATE ACCT SET BAL = 130 WHERE ID = 2");
+    commitOrThrow(t);
+}
+
+int
+transferApplied(Database &db)
+{
+    auto bal = [&db](int id) {
+        ResultSet rs = db.executeSql("SELECT BAL FROM ACCT WHERE ID = " +
+                                     std::to_string(id));
+        return rs.rows.size() == 1 ? rs.rows[0][0].i : -1;
+    };
+    std::int64_t a = bal(1), b = bal(2);
+    if (a == 100 && b == 100)
+        return 0;
+    return a == 70 && b == 130 ? 1 : -1;
+}
+
+/** The first pk routed to each of @p db's two members. */
+std::array<std::int64_t, 2>
+memberKeys(ShardedDatabase &db)
+{
+    std::array<std::int64_t, 2> keys{-1, -1};
+    for (std::int64_t pk = 0; keys[0] < 0 || keys[1] < 0; ++pk)
+        if (keys[db.shardIndexForPk(pk)] < 0)
+            keys[db.shardIndexForPk(pk)] = pk;
+    return keys;
+}
+
+std::unique_ptr<ShardedDatabase>
+makePair(CrashInjector *inj)
+{
+    ShardedDatabaseConfig cfg;
+    cfg.shards = 2;
+    cfg.shard.rowRegionSize = 2u << 20;
+    cfg.shard.rowsPerTable = 256;
+    cfg.shard.walShards = 4;
+    cfg.shard.groupCommitWindowUs = 0;
+    auto db = std::make_unique<ShardedDatabase>(cfg);
+    db->createTable(TableSchema{"KV",
+                                {{"ID", DbType::kI64},
+                                 {"V", DbType::kI64}},
+                                0,
+                                TableSchema::kNoIndex});
+    for (std::int64_t pk : memberKeys(*db))
+        db->persistRecord("KV", twopc::kvRow(pk, 0));
+    twopc::installInjector(*db, inj);
+    return db;
+}
+
+void
+crossShardWrite(ShardedDatabase &db)
+{
+    Txn t = db.beginTxn();
+    for (std::int64_t pk : memberKeys(db))
+        db.persistRecord("KV", twopc::kvRow(pk, 1));
+    commitOrThrow(t);
+}
+
+int
+crossShardApplied(ShardedDatabase &db)
+{
+    std::array<std::int64_t, 2> v{-1, -1};
+    std::array<std::int64_t, 2> keys = memberKeys(db);
+    for (int i = 0; i < 2; ++i) {
+        DbRecord out;
+        if (db.fetchRecord("KV", keys[i], &out))
+            v[i] = out.values[1].i;
+    }
+    return v[0] == v[1] && (v[0] == 0 || v[0] == 1) ? static_cast<int>(v[0])
+                                                    : -1;
+}
+
+} // namespace inscope
+
+TEST(DbCrashTest, TxnInScopeSweepConservative)
+{
+    inscope::sweep<Database>(inscope::makeAcct, inscope::transfer,
+                             inscope::transferApplied,
+                             CrashMode::kDiscardUnflushed);
+}
+
+TEST(DbCrashTest, TxnInScopeSweepWithCacheEviction)
+{
+    inscope::sweep<Database>(inscope::makeAcct, inscope::transfer,
+                             inscope::transferApplied,
+                             CrashMode::kEvictRandomLines);
+}
+
+TEST(DbCrashTest, TxnInScopeTwoPhaseCommitSweepConservative)
+{
+    inscope::sweep<ShardedDatabase>(inscope::makePair,
+                                    inscope::crossShardWrite,
+                                    inscope::crossShardApplied,
+                                    CrashMode::kDiscardUnflushed);
+}
+
+TEST(DbCrashTest, TxnInScopeTwoPhaseCommitSweepWithCacheEviction)
+{
+    inscope::sweep<ShardedDatabase>(inscope::makePair,
+                                    inscope::crossShardWrite,
+                                    inscope::crossShardApplied,
+                                    CrashMode::kEvictRandomLines);
 }
 
 TEST(DbCrashTest, DdlSweep)

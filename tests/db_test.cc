@@ -178,11 +178,11 @@ TEST_F(DatabaseTest, ExplicitTransactionRollback)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (2, 'Tmp', 0)");
-    db_->rollback();
+    EXPECT_TRUE(t.rollback().isOk());
 
     ResultSet rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     EXPECT_EQ(rs.rows[0][0].i, 30);
@@ -205,9 +205,9 @@ TEST_F(DatabaseTest, OpenTransactionRollsBackAcrossCrash)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
-    db_->crash(); // commit never happened
+    db_->crash(); // commit never happened; t is inert from here on
 
     ResultSet rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     ASSERT_EQ(rs.rows.size(), 1u);
@@ -218,7 +218,7 @@ TEST_F(DatabaseTest, WalDedupSkipsRepeatedRanges)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 1 WHERE ID = 1");
     WalShard &shard = db_->wal().shard(db_->currentTxShard());
     std::size_t used_after_first = shard.bytesUsed();
@@ -231,16 +231,16 @@ TEST_F(DatabaseTest, WalDedupSkipsRepeatedRanges)
     // Hot-row rewrites must not re-log the same old image.
     EXPECT_EQ(shard.bytesUsed(), used_after_first);
     EXPECT_EQ(shard.entryCount(), count_after_first);
-    db_->commit();
+    EXPECT_TRUE(t.commit().isOk());
     ResultSet rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     EXPECT_EQ(rs.rows[0][0].i, 50);
 
     // ... and rollback restores the pre-transaction image, not an
     // intermediate one.
-    db_->begin();
+    Txn r = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 98 WHERE ID = 1");
     db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
-    db_->rollback();
+    EXPECT_TRUE(r.rollback().isOk());
     rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     EXPECT_EQ(rs.rows[0][0].i, 50);
 }
@@ -260,7 +260,7 @@ TEST(WalRecoveryTest, LogFullRollsBackRecoverably)
 
     // A transaction touching more rows than the segment holds must
     // roll back — and the process (and database) must survive.
-    db.begin();
+    Txn t = db.beginTxn();
     bool full = false;
     for (int i = 0; i < 64 && !full; ++i) {
         try {
@@ -271,22 +271,24 @@ TEST(WalRecoveryTest, LogFullRollsBackRecoverably)
         }
     }
     ASSERT_TRUE(full);
-    EXPECT_EQ(db.lastTxOutcome(), TxOutcome::kRolledBackWalFull);
-    EXPECT_FALSE(db.inTransaction());
-    // rollback() after the engine's own rollback is a quiet no-op;
-    // commit() of the dead transaction reports the outcome.
-    db.rollback();
+    // commit() of the dead transaction reports the outcome; rollback()
+    // after the engine's own rollback is a quiet no-op.
+    EXPECT_FALSE(t.active());
+    EXPECT_EQ(t.commit().code(), StatusCode::kWalFull);
+    Txn u;
     EXPECT_THROW(
         {
-            db.begin();
+            u = db.beginTxn();
             db.executeSql("UPDATE T SET V = 2 WHERE ID = 0");
             // Refill the segment to force another mid-txn abort.
             for (int i = 1; i < 64; ++i)
                 db.executeSql("UPDATE T SET V = 2 WHERE ID = " +
                               std::to_string(i));
-            db.commit();
+            (void)u.commit();
         },
         FatalError);
+    EXPECT_FALSE(u.active());
+    EXPECT_TRUE(u.rollback().isOk());
 
     // Every update the failed transactions made was undone.
     ResultSet rs = db.executeSql("SELECT * FROM T");
@@ -297,9 +299,9 @@ TEST(WalRecoveryTest, LogFullRollsBackRecoverably)
     // The database stays fully usable.
     db.executeSql("INSERT INTO T (ID, V) VALUES (1000, 7)");
     EXPECT_EQ(db.rowCount("T"), 65u);
-    db.begin();
+    Txn v = db.beginTxn();
     db.executeSql("UPDATE T SET V = 3 WHERE ID = 0");
-    db.commit();
+    EXPECT_TRUE(v.commit().isOk());
     rs = db.executeSql("SELECT V FROM T WHERE ID = 0");
     EXPECT_EQ(rs.rows[0][0].i, 3);
 }
@@ -385,7 +387,7 @@ TEST_F(DatabaseTest, UncommittedDeleteKeepsPkReserved)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     EXPECT_TRUE(db_->deleteRecord("PERSON", 1));
     DbRecord out;
     EXPECT_FALSE(db_->fetchRecord("PERSON", 1, &out));
@@ -400,7 +402,7 @@ TEST_F(DatabaseTest, UncommittedDeleteKeepsPkReserved)
     });
     intruder.join();
 
-    db_->rollback();
+    EXPECT_TRUE(t.rollback().isOk());
     ASSERT_TRUE(db_->fetchRecord("PERSON", 1, &out));
     EXPECT_EQ(out.values[1].s, "Ann");
     EXPECT_EQ(db_->rowCount("PERSON"), 1u);
@@ -411,13 +413,13 @@ TEST_F(DatabaseTest, DeleteThenReinsertSamePkInOneTransaction)
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
 
-    db_->begin();
+    Txn t = db_->beginTxn();
     EXPECT_TRUE(db_->deleteRecord("PERSON", 1));
     DbRecord rec;
     rec.values = {DbValue::ofI64(1), DbValue::ofStr("Ann2"),
                   DbValue::ofI64(31)};
     db_->persistRecord("PERSON", rec);
-    db_->commit();
+    EXPECT_TRUE(t.commit().isOk());
 
     DbRecord out;
     ASSERT_TRUE(db_->fetchRecord("PERSON", 1, &out));
@@ -425,11 +427,11 @@ TEST_F(DatabaseTest, DeleteThenReinsertSamePkInOneTransaction)
     EXPECT_EQ(db_->rowCount("PERSON"), 1u);
 
     // The rolled-back variant restores the original row.
-    db_->begin();
+    Txn r = db_->beginTxn();
     EXPECT_TRUE(db_->deleteRecord("PERSON", 1));
     rec.values[1] = DbValue::ofStr("Ann3");
     db_->persistRecord("PERSON", rec);
-    db_->rollback();
+    EXPECT_TRUE(r.rollback().isOk());
     ASSERT_TRUE(db_->fetchRecord("PERSON", 1, &out));
     EXPECT_EQ(out.values[1].s, "Ann2");
     EXPECT_EQ(db_->rowCount("PERSON"), 1u);
@@ -461,7 +463,7 @@ TEST(SamePkContentionTest, ConcurrentWritersOnOneKeyStayConsistent)
                 std::this_thread::yield();
             for (int i = 0; i < kIters; ++i) {
                 try {
-                    db.begin();
+                    Txn txn = db.beginTxn();
                     if ((t + i) % 3 == 0) {
                         // delete + re-insert the hot key
                         if (db.deleteRecord("T", 7)) {
@@ -470,28 +472,27 @@ TEST(SamePkContentionTest, ConcurrentWritersOnOneKeyStayConsistent)
                                           DbValue::ofI64(t * 1000 + i)};
                             db.persistRecord("T", rec);
                         }
-                        db.commit();
+                        EXPECT_TRUE(txn.commit().isOk());
                     } else if ((t + i) % 3 == 1) {
                         DbRecord rec;
                         rec.values = {DbValue::ofI64(7),
                                       DbValue::ofI64(t * 1000 + i)};
                         rec.dirtyMask = 1ull << 1;
                         db.persistRecord("T", rec);
-                        db.commit();
+                        EXPECT_TRUE(txn.commit().isOk());
                     } else {
                         DbRecord rec;
                         rec.values = {DbValue::ofI64(7),
                                       DbValue::ofI64(-1)};
                         rec.dirtyMask = 1ull << 1;
                         db.persistRecord("T", rec);
-                        db.rollback();
+                        EXPECT_TRUE(txn.rollback().isOk());
                     }
                 } catch (const FatalError &) {
                     // A racing delete may briefly reserve the pk;
-                    // the transaction was rolled back for us or the
-                    // statement refused — both leave the db intact.
-                    if (db.inTransaction())
-                        db.rollback();
+                    // the transaction was rolled back for us, or the
+                    // statement refused and dropping txn rolled it
+                    // back — both leave the db intact.
                     failures.fetch_add(1);
                 }
             }
@@ -532,14 +533,14 @@ TEST(GroupCommitTest, ConcurrentCommittersShareOneDrain)
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&, t]() {
-            db.begin();
+            Txn txn = db.beginTxn();
             DbRecord rec;
             rec.values = {DbValue::ofI64(t), DbValue::ofI64(100 + t)};
             db.persistRecord("T", rec);
             staged.fetch_add(1);
             while (!go.load(std::memory_order_acquire))
                 std::this_thread::yield();
-            db.commit();
+            EXPECT_TRUE(txn.commit().isOk());
         });
     }
     while (staged.load() != kThreads)
@@ -586,11 +587,11 @@ TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
     CommitCoordinator::Stats before = db.commitCoordinator().stats();
     constexpr int kSeq = 8;
     for (int i = 0; i < kSeq; ++i) {
-        db.begin();
+        Txn txn = db.beginTxn();
         DbRecord rec;
         rec.values = {DbValue::ofI64(i), DbValue::ofI64(i)};
         db.persistRecord("T", rec);
-        db.commit();
+        EXPECT_TRUE(txn.commit().isOk());
     }
     CommitCoordinator::Stats mid = db.commitCoordinator().stats();
     EXPECT_EQ(mid.txns - before.txns, static_cast<std::uint64_t>(kSeq));
@@ -609,14 +610,14 @@ TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&, t]() {
-            db.begin();
+            Txn txn = db.beginTxn();
             DbRecord rec;
             rec.values = {DbValue::ofI64(100 + t), DbValue::ofI64(t)};
             db.persistRecord("T", rec);
             staged.fetch_add(1);
             while (!go.load(std::memory_order_acquire))
                 std::this_thread::yield();
-            db.commit();
+            EXPECT_TRUE(txn.commit().isOk());
         });
     }
     while (staged.load() != kThreads)
@@ -649,7 +650,7 @@ TEST(GroupCommitTest, AutoWindowResolvesFromEnv)
 }
 
 // ---------------------------------------------------------------------
-// Detached sessions: the wire front door's transferable transactions
+// Txn hand-off between threads: the wire front door's bracket path
 // ---------------------------------------------------------------------
 
 TEST(DetachedSessionTest, BracketTransfersAcrossThreads)
@@ -662,43 +663,40 @@ TEST(DetachedSessionTest, BracketTransfersAcrossThreads)
     Database db(cfg);
     db.executeSql("CREATE TABLE T (ID BIGINT PRIMARY KEY, V BIGINT)");
 
-    // Thread A opens the session and stages the first write.
-    std::uint64_t sid = 0;
+    // Thread A opens the transaction, stages the first write, and
+    // parks it.
+    Txn txn;
     std::thread a([&]() {
-        ASSERT_TRUE(db.beginDetached({}, &sid).isOk());
-        ASSERT_TRUE(db.bindDetached(sid));
+        ASSERT_TRUE(db.tryBeginTxn({}, &txn).isOk());
         DbRecord rec;
         rec.values = {DbValue::ofI64(1), DbValue::ofI64(10)};
         db.persistRecord("T", rec);
-        db.unbindDetached(sid);
+        ASSERT_TRUE(txn.unbind().isOk());
     });
     a.join();
-    ASSERT_NE(sid, 0u);
-    EXPECT_EQ(db.detachedCount(), 1u);
-    EXPECT_GE(db.busyWalShards(), 1u);
+    EXPECT_TRUE(txn.active());
+    EXPECT_EQ(db.busyWalShards(), 1u);
 
     // Thread B adopts it mid-flight: it sees A's uncommitted write
     // from inside the same transaction and stages another.
     std::thread b([&]() {
-        ASSERT_TRUE(db.bindDetached(sid));
+        ASSERT_TRUE(txn.bind().isOk());
         DbRecord out;
         ASSERT_TRUE(db.fetchRecord("T", 1, &out));
         EXPECT_EQ(out.values[1].i, 10);
         DbRecord rec;
         rec.values = {DbValue::ofI64(2), DbValue::ofI64(20)};
         db.persistRecord("T", rec);
-        db.unbindDetached(sid);
+        ASSERT_TRUE(txn.unbind().isOk());
     });
     b.join();
 
-    // A session bound nowhere commits from any thread — C never
+    // A parked transaction commits from any thread — C never
     // executed a statement of it.
-    std::thread c([&]() {
-        EXPECT_TRUE(db.commitDetached(sid).isOk());
-    });
+    std::thread c([&]() { EXPECT_TRUE(txn.commit().isOk()); });
     c.join();
 
-    EXPECT_EQ(db.detachedCount(), 0u);
+    EXPECT_FALSE(txn.active());
     EXPECT_EQ(db.busyWalShards(), 0u);
     DbRecord out;
     ASSERT_TRUE(db.fetchRecord("T", 1, &out));
@@ -710,15 +708,16 @@ TEST(DetachedSessionTest, BracketTransfersAcrossThreads)
     db.crash(CrashMode::kDiscardUnflushed);
     EXPECT_EQ(db.rowCount("T"), 2u);
 
-    // A double bind from a second thread while bound elsewhere is
-    // refused, not fatal.
-    std::uint64_t sid2 = 0;
-    ASSERT_TRUE(db.beginDetached({}, &sid2).isOk());
-    ASSERT_TRUE(db.bindDetached(sid2));
-    std::thread d([&]() { EXPECT_FALSE(db.bindDetached(sid2)); });
+    // A bind from a second thread while bound elsewhere is refused,
+    // not fatal.
+    Txn t2;
+    ASSERT_TRUE(db.tryBeginTxn({}, &t2).isOk());
+    std::thread d([&]() {
+        EXPECT_EQ(t2.bind().code(), StatusCode::kMisuse);
+    });
     d.join();
-    db.unbindDetached(sid2);
-    EXPECT_TRUE(db.rollbackDetached(sid2).isOk());
+    ASSERT_TRUE(t2.unbind().isOk());
+    EXPECT_TRUE(t2.rollback().isOk());
     EXPECT_EQ(db.busyWalShards(), 0u);
 }
 
@@ -818,22 +817,22 @@ TEST_F(ShardedDbTest, CrossShardBracketCommitsAndRollsBack)
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 0));
 
-    database.begin();
-    EXPECT_TRUE(database.inTransaction());
+    Txn t = database.beginTxn();
+    EXPECT_TRUE(t.active());
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 1));
-    database.commit();
-    EXPECT_FALSE(database.inTransaction());
+    EXPECT_TRUE(t.commit().isOk());
+    EXPECT_FALSE(t.active());
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
         EXPECT_EQ(out.values[1].i, 1);
     }
 
-    database.begin();
+    Txn r = database.beginTxn();
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 2));
-    database.rollback();
+    EXPECT_TRUE(r.rollback().isOk());
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
@@ -851,21 +850,26 @@ TEST_F(ShardedDbTest, WalFullAbortsTheWholeBracket)
     for (std::int64_t id = 0; id < 400; ++id)
         database.persistRecord("T", row(id, 7));
 
-    database.begin();
-    bool overflowed = false;
-    try {
-        for (std::int64_t id = 0; id < 400; ++id)
-            database.persistRecord("T", row(id, 8));
-    } catch (const WalFullError &) {
-        overflowed = true;
-    }
-    ASSERT_TRUE(overflowed) << "undo segment never filled";
+    auto overflow = [&database]() {
+        try {
+            for (std::int64_t id = 0; id < 400; ++id)
+                database.persistRecord("T", row(id, 8));
+        } catch (const WalFullError &) {
+            return true;
+        }
+        return false;
+    };
+    Txn t = database.beginTxn();
+    ASSERT_TRUE(overflow()) << "undo segment never filled";
     // The whole cross-shard bracket aborted: both members rolled
     // back, no half-applied shard survives, and the database keeps
-    // serving new work. The caller's rollback() after catching the
-    // error is a graceful no-op (Database's aborted-flag contract).
-    EXPECT_FALSE(database.inTransaction());
-    database.rollback();
+    // serving new work. commit() reports why; a rollback() after
+    // catching the error is a graceful no-op.
+    EXPECT_FALSE(t.active());
+    EXPECT_EQ(t.commit().code(), StatusCode::kWalFull);
+    Txn r = database.beginTxn();
+    ASSERT_TRUE(overflow()) << "undo segment never filled";
+    EXPECT_TRUE(r.rollback().isOk());
     for (std::int64_t id = 0; id < 400; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
@@ -895,7 +899,7 @@ TEST_F(ShardedDbTest, MemberCrashRecoveryIsShardLocal)
     // must be closed across a crash — the member's own engine rolls
     // its open transaction back on reopen).
     std::int64_t victim = shard0_ids[0];
-    database.shard(0).begin();
+    Txn member_txn = database.shard(0).beginTxn();
     database.shard(0).persistRecord("T", row(victim, -5));
     database.crashShard(0, CrashMode::kDiscardUnflushed, 42);
 
@@ -919,8 +923,8 @@ TEST_F(ShardedDbTest, MemberCrashRecoveryIsShardLocal)
 }
 
 // ---------------------------------------------------------------------
-// PR 6: the explicit Txn handle API, unified Status codes, snapshot
-// isolation, and deadlock detection.
+// The Txn handle API, unified Status codes, snapshot isolation, and
+// deadlock detection.
 // ---------------------------------------------------------------------
 
 class TxnApiTest : public ::testing::Test
@@ -1004,9 +1008,9 @@ TEST_F(TxnApiTest, DestructorAndMoveSemantics)
 
 TEST_F(TxnApiTest, ForeignThreadCommitIsMisuse)
 {
-    // A Txn handle is pinned to the thread that minted it; finishing
-    // it from a worker that merely holds a reference is a protocol
-    // error reported as a status, never silently committed.
+    // A bound Txn is pinned to its thread; finishing it from a worker
+    // that merely holds a reference is a protocol error reported as a
+    // status, never silently committed.
     Txn t = db_->beginTxn();
     put(4, 44);
     Status foreign = Status::ok();
@@ -1014,12 +1018,37 @@ TEST_F(TxnApiTest, ForeignThreadCommitIsMisuse)
     other.join();
     EXPECT_EQ(foreign.code(), StatusCode::kMisuse);
 
-    // The refused commit consumed the handle but not the
-    // transaction — it is still open on this thread and rolls back
-    // normally, so the staged write never lands.
-    EXPECT_TRUE(db_->inTransaction());
-    db_->rollback();
+    // The refused commit left the transaction open and the handle
+    // usable: it rolls back normally on its own thread, so the staged
+    // write never lands.
+    EXPECT_TRUE(t.active());
+    EXPECT_TRUE(t.rollback().isOk());
     EXPECT_EQ(get(4), 0);
+}
+
+TEST_F(TxnApiTest, PowerFailureLeavesTxnInert)
+{
+    // A Txn that outlives a crash() touches no engine state when it
+    // commits, rolls back or drops: not the rows, and not the new
+    // transaction that holds the same WAL shard token.
+    Txn lost[3];
+    for (Txn &t : lost) {
+        t = db_->beginTxn(); // an inert Txn on this thread: not nested
+        put(6, 66);
+        db_->crash();
+        EXPECT_FALSE(t.active());
+    }
+    Txn fresh = db_->beginTxn(); // same thread: same home shard
+    put(7, 77);
+    EXPECT_EQ(db_->busyWalShards(), 1u);
+    EXPECT_EQ(lost[0].commit().code(), StatusCode::kAborted);
+    EXPECT_TRUE(lost[1].rollback().isOk());
+    lost[2] = Txn();
+    EXPECT_EQ(db_->busyWalShards(), 1u) << "a lost Txn freed a token";
+    EXPECT_TRUE(fresh.commit().isOk());
+    EXPECT_EQ(db_->busyWalShards(), 0u);
+    EXPECT_EQ(get(6), 0);
+    EXPECT_EQ(get(7), 77);
 }
 
 TEST_F(TxnApiTest, CommitReportsWalFullAsStatus)
@@ -1072,10 +1101,10 @@ TEST_F(TxnApiTest, SnapshotReaderSeesBeginTimeVersions)
     // A writer overwrites every row in one transaction and commits
     // mid-scan.
     std::thread w([&]() {
-        db_->begin();
+        Txn t = db_->beginTxn();
         for (std::int64_t id = 0; id < 16; ++id)
             put(id, 1);
-        db_->commit();
+        EXPECT_TRUE(t.commit().isOk());
     });
     w.join();
 
@@ -1212,10 +1241,10 @@ TEST_F(ShardedDbTest, SnapshotBracketSeesCrossShardCommitAtomically)
 
     // A cross-shard 2PC commit lands mid-scan.
     std::thread w([&]() {
-        database.begin();
+        Txn t = database.beginTxn();
         for (std::int64_t id = 0; id < 32; ++id)
             database.persistRecord("T", row(id, 1));
-        database.commit();
+        EXPECT_TRUE(t.commit().isOk());
     });
     w.join();
 
@@ -1234,6 +1263,46 @@ TEST_F(ShardedDbTest, SnapshotBracketSeesCrossShardCommitAtomically)
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
         EXPECT_EQ(out.values[1].i, 1);
     }
+}
+
+TEST_F(ShardedDbTest, FirstSnapshotSeesStraddlingBracketWhole)
+{
+    // The fabric's first snapshot begins while a cross-shard bracket
+    // has written its member-0 row and not yet its member-1 row. The
+    // bracket commits after the snapshot, so the snapshot must read
+    // both rows as they were before it, never one new and one old.
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::int64_t p[2] = {-1, -1};
+    for (std::int64_t id = 0; p[0] < 0 || p[1] < 0; ++id)
+        if (p[database.shardIndexForPk(id)] < 0)
+            p[database.shardIndexForPk(id)] = id;
+    database.persistRecord("T", row(p[0], 0));
+    database.persistRecord("T", row(p[1], 0));
+
+    std::atomic<bool> first_written{false};
+    std::thread w([&]() {
+        Txn t = database.beginTxn();
+        database.persistRecord("T", row(p[0], 1));
+        first_written.store(true, std::memory_order_release);
+        while (database.snapshotClock().minActive() ==
+               SnapshotClock::kNoActiveSnapshots)
+            std::this_thread::yield();
+        database.persistRecord("T", row(p[1], 1));
+        EXPECT_TRUE(t.commit().isOk());
+    });
+    while (!first_written.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    Txn r = database.beginTxn({Isolation::kSnapshot});
+    w.join();
+
+    DbRecord a, b;
+    ASSERT_TRUE(database.fetchRecord("T", p[0], &a));
+    ASSERT_TRUE(database.fetchRecord("T", p[1], &b));
+    EXPECT_EQ(a.values[1].i, b.values[1].i)
+        << "the snapshot saw half of a cross-shard commit";
+    EXPECT_EQ(a.values[1].i, 0);
+    EXPECT_TRUE(r.commit().isOk());
 }
 
 TEST(VersionChainTest, TrimKeepsChainsBoundedUnderLongSnapshot)
@@ -1309,10 +1378,10 @@ TEST_F(ShardedDbTest, GrowAndShrinkRepartitionRows)
     }
 
     // Writes and brackets keep flowing on the grown membership.
-    database.begin();
+    Txn t = database.beginTxn();
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, -id));
-    database.commit();
+    EXPECT_TRUE(t.commit().isOk());
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));

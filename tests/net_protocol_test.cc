@@ -207,7 +207,7 @@ class WireServerTest : public ::testing::Test
                 DbValue::ofStr(s)};
     }
 
-    /** Poll until the engine shows no parked session / held WAL
+    /** Poll until the engine shows no open transaction / held WAL
      * token, or the deadline passes. */
     bool
     drainsClean(int timeout_ms = 5000)
@@ -215,13 +215,13 @@ class WireServerTest : public ::testing::Test
         auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
         while (std::chrono::steady_clock::now() < deadline) {
-            if (db_->detachedCount() == 0 &&
+            if (db_->openTxnCount() == 0 &&
                 db_->busyWalShards() == 0)
                 return true;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(1));
         }
-        return db_->detachedCount() == 0 && db_->busyWalShards() == 0;
+        return db_->openTxnCount() == 0 && db_->busyWalShards() == 0;
     }
 
     std::unique_ptr<db::ShardedDatabase> db_;
@@ -571,7 +571,7 @@ TEST_F(WireServerTest, MidTxnDisconnectRollsBackAndFreesTokens)
     ASSERT_EQ(a.begin(false, &txid), WireStatus::kOk);
     ASSERT_EQ(a.put("T", row(1, 1)), WireStatus::kOk);
     ASSERT_EQ(a.put("T", row(2, 2)), WireStatus::kOk);
-    EXPECT_GE(db_->detachedCount(), 1u);
+    EXPECT_GE(db_->openTxnCount(), 1u);
     EXPECT_GE(db_->busyWalShards(), 1u);
 
     a.closeConn(); // abrupt: no commit, no rollback
