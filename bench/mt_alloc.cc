@@ -1,13 +1,15 @@
 /**
  * @file
  * Multi-threaded pnew scaling: T threads bump-allocate into one PJH
- * through per-thread TLABs (carved from the shared top under the
- * heap lock) and the figure reports allocation throughput per thread
- * count against the single-threaded baseline.
+ * through TLAB slots (one per thread up to 64, each with its own
+ * chunk carved from the shared top under the heap lock) and the
+ * figure reports allocation throughput per thread count against the
+ * single-threaded baseline.
  *
- * Expected shape: near-linear scaling while cores last — the only
- * shared work per TLAB refill is one short critical section, and
- * every allocation's flush/fence traffic stays thread-local. On a
+ * Expected shape: near-linear scaling while cores last — each pnew
+ * takes only its own slot's uncontended lock, the only shared work
+ * per TLAB refill is one short critical section, and every
+ * allocation's flush/fence traffic stays thread-local. On a
  * single-core host the sweep still runs but reports ~1x.
  */
 

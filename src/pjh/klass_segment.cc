@@ -8,21 +8,22 @@
 namespace espresso {
 
 bool
-pjhRawHeaderValid(Oop o, Addr seg_base, std::size_t seg_size)
+pjhRawHeaderValid(Oop o, Addr seg_base, std::size_t seg_size,
+                  std::ptrdiff_t delta)
 {
     if (!o.hasKlassImage())
         return false;
-    Addr image = o.klassImage();
+    const KlassImage *img = pjhRawImage(o, delta);
+    Addr image = reinterpret_cast<Addr>(img);
     if (image < seg_base || image + sizeof(KlassImage) > seg_base + seg_size)
         return false;
-    return reinterpret_cast<const KlassImage *>(image)->pkr.magic ==
-           PersistentKlassRef::kMagic;
+    return img->pkr.magic == PersistentKlassRef::kMagic;
 }
 
 std::size_t
-pjhRawObjectSize(Oop o)
+pjhRawObjectSize(Oop o, std::ptrdiff_t delta)
 {
-    const KlassImage *img = pjhRawImage(o);
+    const KlassImage *img = pjhRawImage(o, delta);
     if (img->isArray()) {
         std::size_t esz = elementSize(img->elemType());
         return alignUp(ObjectLayout::kArrayHeaderSize +

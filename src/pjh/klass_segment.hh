@@ -95,26 +95,33 @@ struct KlassImage
 
 static_assert(sizeof(KlassImage) == 128, "KlassImage header is 128 bytes");
 
-/** @name Raw object inspection (no runtime binding required) */
+/**
+ * @name Raw object inspection (no runtime binding required)
+ *
+ * Each helper takes a delta for a heap whose stored addresses are
+ * delta bytes below their current physical location (pre-rebase
+ * attach; 0 once attached).
+ */
 /// @{
 
 /** The KlassImage an object's header points at. */
 inline const KlassImage *
-pjhRawImage(Oop o)
+pjhRawImage(Oop o, std::ptrdiff_t delta = 0)
 {
-    return reinterpret_cast<const KlassImage *>(o.klassImage());
+    return reinterpret_cast<const KlassImage *>(
+        static_cast<Addr>(o.klassImage() + delta));
 }
 
-/** True when @p o's header points at a plausible image. */
-bool pjhRawHeaderValid(Oop o, Addr seg_base, std::size_t seg_size);
+/** True when @p o's header points at a plausible image inside the
+ * segment at [@p seg_base, @p seg_base + @p seg_size). */
+bool pjhRawHeaderValid(Oop o, Addr seg_base, std::size_t seg_size,
+                       std::ptrdiff_t delta = 0);
 
 /** Object footprint from image data alone. */
-std::size_t pjhRawObjectSize(Oop o);
+std::size_t pjhRawObjectSize(Oop o, std::ptrdiff_t delta = 0);
 
 /**
- * Visit every reference-slot address of @p o using image layout, for
- * a heap whose stored addresses are @p delta bytes below their
- * current physical location (pre-rebase attach; 0 once attached).
+ * Visit every reference-slot address of @p o using image layout.
  * Inline so the collector's trace loop calls @p visitor directly.
  */
 template <typename Visitor>
@@ -122,8 +129,7 @@ void
 pjhRawForEachRefSlotWithDelta(Oop o, std::ptrdiff_t delta,
                               Visitor &&visitor)
 {
-    auto *img = reinterpret_cast<const KlassImage *>(static_cast<Addr>(
-        (o.klassRefRaw() & ~Oop::kKlassPersistentTag) + delta));
+    const KlassImage *img = pjhRawImage(o, delta);
     if (img->isArray()) {
         if (img->elemType() != FieldType::kRef)
             return;

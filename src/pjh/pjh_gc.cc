@@ -508,8 +508,8 @@ PjhCompactor::finish()
     dev_.persist(reinterpret_cast<Addr>(&meta->gcInProgress),
                  sizeof(Word));
     h_.top_ = dataPhys_ + new_top_off;
-    // Invalidate the per-thread windows so the next allocation of
-    // each thread carves afresh.
+    // Invalidate the slots' open chunks so the next allocation in
+    // each slot carves afresh.
     h_.tlabEpoch_.fetch_add(1, std::memory_order_release);
 }
 

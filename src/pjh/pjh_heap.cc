@@ -6,7 +6,6 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "pjh/pjh_gc.hh"
 #include "pjh/pjh_recovery.hh"
@@ -442,31 +441,23 @@ PjhHeap::setGcTrigger(std::function<void()> trigger)
     gcTrigger_ = std::move(trigger);
 }
 
-std::size_t
-PjhHeap::rawSizeWithDelta(Oop o, std::ptrdiff_t delta) const
-{
-    Word kraw = o.klassRefRaw();
-    auto *img = reinterpret_cast<const KlassImage *>(
-        static_cast<Addr>((kraw & ~Oop::kKlassPersistentTag) + delta));
-    if (img->isArray()) {
-        return alignUp(ObjectLayout::kArrayHeaderSize +
-                           o.arrayLength() * elementSize(img->elemType()),
-                       kWordSize);
-    }
-    return alignUp(img->instanceSize, kWordSize);
-}
-
 // ---------------------------------------------------------------------
-// Allocation: per-thread TLABs over a locked shared top (§4.1)
+// Allocation: slot-locked TLABs over a locked shared top (§4.1)
 // ---------------------------------------------------------------------
 
 PjhHeap::ThreadTlab &
-PjhHeap::threadTlab() const
+PjhHeap::threadTlab()
 {
     // Keyed by heap serial: serials are never reused, so entries of
     // destroyed heaps can never alias a live one.
     thread_local std::unordered_map<std::uint64_t, ThreadTlab> tlabs;
-    return tlabs[serial_];
+    auto [it, fresh] = tlabs.try_emplace(serial_);
+    if (fresh) {
+        it->second.slot =
+            nextOrdinal_.fetch_add(1, std::memory_order_relaxed) %
+            PjhMetadata::kMaxTlabSlots;
+    }
+    return it->second;
 }
 
 void
@@ -475,7 +466,7 @@ PjhHeap::writeFillerHeader(Addr a, std::size_t gap, Addr instance_image,
 {
     // Unreachable by construction: every allocation and chunk
     // remainder is at least kHeaderSize (see the static_asserts at
-    // the top of this file and the fit rules in tlabReserve /
+    // the top of this file and the fit rules in allocInSlot /
     // carveChunk), and repair only plugs allocation boundaries.
     if (gap < ObjectLayout::kHeaderSize)
         panic("PJH: filler gap below the minimum allocation size");
@@ -497,7 +488,7 @@ PjhHeap::writeFillerHeader(Addr a, std::size_t gap, Addr instance_image,
 }
 
 bool
-PjhHeap::carveChunk(ThreadTlab &t, std::size_t min_size)
+PjhHeap::carveChunk(std::size_t slot, std::size_t min_size)
 {
     std::size_t want = alignUp(std::max(min_size, tlabBytes_), kWordSize);
     // The first allocation must leave a coverable remainder (0 or at
@@ -505,131 +496,104 @@ PjhHeap::carveChunk(ThreadTlab &t, std::size_t min_size)
     if (want - min_size == kWordSize)
         want += kWordSize;
 
-    for (int attempt = 0;; ++attempt) {
-        {
-            std::lock_guard<std::mutex> g(topMu_);
-            Addr a = top_.load(std::memory_order_relaxed);
-            std::size_t avail = dataBase_ + meta_->dataSize - a;
-            std::size_t chunk = std::min(want, avail);
-            if (chunk >= min_size && chunk - min_size == kWordSize)
-                chunk -= kWordSize; // keep the remainder coverable
-            if (chunk >= min_size) {
-                if (t.slot == kSlotUnassigned) {
-                    std::uint32_t s = nextTlabSlot_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    t.slot = s < PjhMetadata::kMaxTlabSlots
-                                 ? static_cast<int>(s)
-                                 : kSlotless;
-                }
-                if (t.slot == kSlotless)
-                    return false;
+    std::lock_guard<std::mutex> g(topMu_);
+    Addr a = top_.load(std::memory_order_relaxed);
+    std::size_t avail = dataBase_ + meta_->dataSize - a;
+    std::size_t chunk = std::min(want, avail);
+    if (chunk >= min_size && chunk - min_size == kWordSize)
+        chunk -= kWordSize; // keep the remainder coverable
+    if (chunk < min_size)
+        return false;
 
-                // Crash-consistent handoff: the whole chunk becomes
-                // one durable filler before the top replica (and
-                // then the slot registration) publishes it, so the
-                // heap parses end to end at every step.
-                std::memset(reinterpret_cast<void *>(a), 0, chunk);
-                writeFillerHeader(a, chunk);
-                dev_->flush(a, chunk);
-                dev_->fence();
+    // Crash-consistent handoff: the whole chunk becomes one durable
+    // filler before the top replica (and then the slot registration)
+    // publishes it, so the heap parses end to end at every step.
+    std::memset(reinterpret_cast<void *>(a), 0, chunk);
+    writeFillerHeader(a, chunk);
+    dev_->flush(a, chunk);
+    dev_->fence();
 
-                meta_->topOffset = a + chunk - dataBase_;
-                dev_->persist(reinterpret_cast<Addr>(&meta_->topOffset),
-                              sizeof(Word));
-                top_.store(a + chunk, std::memory_order_release);
+    meta_->topOffset = a + chunk - dataBase_;
+    dev_->persist(reinterpret_cast<Addr>(&meta_->topOffset), sizeof(Word));
+    top_.store(a + chunk, std::memory_order_release);
 
-                meta_->setTlabSlot(static_cast<std::size_t>(t.slot),
-                                   a - dataBase_,
-                                   a + chunk - dataBase_);
-                dev_->persist(
-                    reinterpret_cast<Addr>(
-                        &meta_->tlabSlots[static_cast<std::size_t>(
-                                              t.slot) *
-                                          PjhMetadata::kTlabSlotWords]),
-                    2 * kWordSize);
+    meta_->setTlabSlot(slot, a - dataBase_, a + chunk - dataBase_);
+    dev_->persist(reinterpret_cast<Addr>(
+                      &meta_->tlabSlots[slot * PjhMetadata::kTlabSlotWords]),
+                  2 * kWordSize);
 
-                t.bump = a;
-                t.end = a + chunk;
-                t.epoch = tlabEpoch_.load(std::memory_order_relaxed);
-                return true;
-            }
-        }
-        if (!gcTrigger_ || attempt > 0)
-            fatal("PJH: out of persistent memory");
-        gcTrigger_();
-    }
+    TlabSlot &s = slots_[slot];
+    s.bump = a;
+    s.end = a + chunk;
+    s.epoch = tlabEpoch_.load(std::memory_order_relaxed);
+    return true;
 }
 
 Addr
-PjhHeap::tlabReserve(ThreadTlab &t, std::size_t size)
+PjhHeap::allocInSlot(std::size_t slot, Addr image, bool array,
+                     std::uint64_t length, std::size_t size)
 {
-    for (;;) {
-        if (t.bump != 0 &&
-            t.epoch == tlabEpoch_.load(std::memory_order_relaxed)) {
-            std::size_t avail = t.end - t.bump;
-            if (avail >= size) {
-                std::size_t rem = avail - size;
-                if (rem == 0 || rem >= ObjectLayout::kHeaderSize) {
-                    Addr a = t.bump;
-                    if (rem > 0) {
-                        // Stage the new trailing filler only: the
-                        // caller's header persist makes both durable
-                        // under one fence (crash cases in allocRaw).
-                        writeFillerHeader(a + size, rem);
-                        dev_->flush(
-                            a + size,
-                            std::min(rem, static_cast<std::size_t>(
-                                              ObjectLayout::
-                                                  kArrayHeaderSize)));
-                    }
-                    t.bump = a + size;
-                    return a;
-                }
-            }
-        }
-        // Unusable chunk (none yet, stale epoch, too small, or an
-        // uncoverable 8-byte tail would remain): abandon it — the
-        // previous allocation's fence made its trailing filler
-        // durable — and carve afresh.
-        t.bump = t.end = 0;
-        if (!carveChunk(t, size))
+    TlabSlot &s = slots_[slot];
+    // One allocation in flight per slot is what confines torn state
+    // to the last allocation of each registered chunk. RAII: a
+    // SimulatedCrash thrown from a persist below releases the lock.
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (s.epoch != tlabEpoch_.load(std::memory_order_relaxed))
+        s.bump = s.end = 0; // a collection retired the chunk
+    std::size_t avail = s.end - s.bump;
+    if (avail < size ||
+        (avail != size && avail - size < ObjectLayout::kHeaderSize)) {
+        // Unusable chunk (none yet, too small, or an uncoverable
+        // 8-byte tail would remain): abandon it — the previous
+        // allocation's fence made its trailing filler durable — and
+        // carve afresh.
+        if (!carveChunk(slot, size))
             return kNullAddr;
     }
-}
 
-Oop
-PjhHeap::allocSlotless(const Klass *pk, Addr image, std::uint64_t length,
-                       std::size_t size)
-{
-    // Threads beyond the slot table allocate under the heap lock and
-    // publish everything before releasing it: any torn state is then
-    // provably the global allocation tail (no later carve can start),
-    // which repairAllocationTail plugs without a slot registration.
-    for (int attempt = 0;; ++attempt) {
-        {
-            std::lock_guard<std::mutex> g(topMu_);
-            Addr a = top_.load(std::memory_order_relaxed);
-            if (a + size <= dataBase_ + meta_->dataSize) {
-                std::memset(reinterpret_cast<void *>(a), 0, size);
-                Oop o(a);
-                o.setGcTimestamp(
-                    static_cast<std::uint16_t>(meta_->globalTimestamp));
-                o.setKlassImage(image);
-                if (pk->isArray())
-                    o.setArrayLength(length);
-                dev_->flush(a, size);
-                meta_->topOffset = a + size - dataBase_;
-                dev_->flush(reinterpret_cast<Addr>(&meta_->topOffset),
-                            sizeof(Word));
-                dev_->fence();
-                top_.store(a + size, std::memory_order_release);
-                return o;
-            }
-        }
-        if (!gcTrigger_ || attempt > 0)
-            fatal("PJH: out of persistent memory");
-        gcTrigger_();
+    // Phase 2: reserve, and stage the new trailing filler only: the
+    // header persist below makes both durable under one fence.
+    Addr a = s.bump;
+    std::size_t rem = s.end - a - size;
+    if (rem > 0) {
+        writeFillerHeader(a + size, rem);
+        dev_->flush(a + size,
+                    std::min(rem, static_cast<std::size_t>(
+                                      ObjectLayout::kArrayHeaderSize)));
     }
+    s.bump = a + size;
+
+    // Phase 3: initialize and persist the header over the old filler
+    // header; the Klass-pointer persist is the publication point.
+    // Bytes beyond the old filler header are durably zero from the
+    // carve-time fill. The same fence makes the staged trailing
+    // filler durable, so a crash tears at most this allocation —
+    // inside its registered chunk, where repairAllocationTail plugs
+    // it:
+    //  - header durable, filler lost: the object parses, and the
+    //    klass word at a+size is still the carve-time zero, so
+    //    repair plugs [a+size, chunk end);
+    //  - filler durable, header lost: the old filler at a still
+    //    covers [a, chunk end);
+    //  - torn header: it parses as either that filler or the object.
+    // The fence stays here rather than at the caller's next flush: an
+    // evicted raw setRef could otherwise leave a durable reference to
+    // an address that still parses as filler.
+    Oop o(a);
+    o.setMarkWord(0);
+    o.setGcTimestamp(static_cast<std::uint16_t>(meta_->globalTimestamp));
+    o.setKlassImage(image);
+    std::size_t header = ObjectLayout::kHeaderSize;
+    if (array) {
+        o.setArrayLength(length);
+        header = ObjectLayout::kArrayHeaderSize;
+    } else if (size > ObjectLayout::kHeaderSize) {
+        // Clear the old filler's length word, now the first field.
+        storeWord(a + ObjectLayout::kHeaderSize, 0);
+        header = ObjectLayout::kArrayHeaderSize;
+    }
+    dev_->persist(a, header);
+    return a;
 }
 
 Oop
@@ -658,52 +622,22 @@ PjhHeap::allocRaw(const Klass *k, std::uint64_t length)
                      " bytes exceeds the bounce-buffer bound (",
                      meta_->bounceSize, ")"));
 
-    // Phase 2: reserve TLAB space; the chunk's new trailing filler is
-    // staged past the reservation.
-    Addr a = tlabReserve(t, size);
-    if (a == kNullAddr) {
-        Oop o = allocSlotless(pk, image, length, size);
-        bornBlackIfMarking(o.addr(), size);
-        stats_.allocations.fetch_add(1, std::memory_order_relaxed);
-        stats_.bytesAllocated.fetch_add(size, std::memory_order_relaxed);
-        return o;
+    // Phases 2 and 3 run under the slot lock.
+    Addr a = allocInSlot(t.slot, image, pk->isArray(), length, size);
+    if (a == kNullAddr && gcTrigger_) {
+        // The heap is full. The slot lock is released, so the
+        // collection never waits on it; retry once on the collected
+        // heap.
+        gcTrigger_();
+        a = allocInSlot(t.slot, image, pk->isArray(), length, size);
     }
-
-    // Phase 3: initialize and persist the header over the old filler
-    // header; the Klass-pointer persist is the publication point.
-    // Bytes beyond the old filler header are durably zero from the
-    // carve-time fill. The same fence makes the staged trailing
-    // filler durable, so a crash tears at most this allocation —
-    // inside its registered chunk, where repairAllocationTail plugs
-    // it:
-    //  - header durable, filler lost: the object parses, and the
-    //    klass word at a+size is still the carve-time zero, so
-    //    repair plugs [a+size, chunk end);
-    //  - filler durable, header lost: the old filler at a still
-    //    covers [a, chunk end);
-    //  - torn header: it parses as either that filler or the object.
-    // The fence stays here rather than at the caller's next flush: an
-    // evicted raw setRef could otherwise leave a durable reference to
-    // an address that still parses as filler.
-    Oop o(a);
-    o.setMarkWord(0);
-    o.setGcTimestamp(static_cast<std::uint16_t>(meta_->globalTimestamp));
-    o.setKlassImage(image);
-    std::size_t header = ObjectLayout::kHeaderSize;
-    if (pk->isArray()) {
-        o.setArrayLength(length);
-        header = ObjectLayout::kArrayHeaderSize;
-    } else if (size > ObjectLayout::kHeaderSize) {
-        // Clear the old filler's length word, now the first field.
-        storeWord(a + ObjectLayout::kHeaderSize, 0);
-        header = ObjectLayout::kArrayHeaderSize;
-    }
-    dev_->persist(a, header);
+    if (a == kNullAddr)
+        fatal("PJH: out of persistent memory");
     bornBlackIfMarking(a, size);
 
     stats_.allocations.fetch_add(1, std::memory_order_relaxed);
     stats_.bytesAllocated.fetch_add(size, std::memory_order_relaxed);
-    return o;
+    return Oop(a);
 }
 
 void
@@ -891,7 +825,7 @@ PjhHeap::forEachOutRefSlot(const SlotVisitor &visitor)
 }
 
 // ---------------------------------------------------------------------
-// Recovery: tail repair with at most one torn tail per TLAB
+// Recovery: tail repair, at most one torn tail per registered chunk
 // ---------------------------------------------------------------------
 
 void
@@ -929,78 +863,32 @@ PjhHeap::clearTlabSlots()
 void
 PjhHeap::repairAllocationTail(std::ptrdiff_t delta)
 {
-    Addr seg_base_stored =
-        reinterpret_cast<Addr>(dev_->base()) + meta_->klassSegOff -
-        static_cast<Addr>(delta);
-
-    // Registered TLAB chunks bound how far a torn allocation can
-    // reach: junk inside a chunk is plugged to the chunk's end, and
-    // parsing resumes there. Slot words are persisted as one cache
-    // line, so a slot is either a real chunk or all-zero — but be
-    // defensive about garbage anyway.
-    struct ChunkBound
-    {
-        Addr start;
-        Addr end;
-    };
-    std::vector<ChunkBound> chunks;
+    // Every allocation lands in a registered chunk, one at a time per
+    // slot, so at most the last allocation of each registered chunk is
+    // torn and nothing outside them needs reading: parse each chunk
+    // from its start and plug the first torn allocation up to the
+    // chunk's end. Slot words are persisted as one cache line, so a
+    // slot is either a real chunk or all-zero — but be defensive about
+    // garbage anyway.
     for (std::size_t i = 0; i < PjhMetadata::kMaxTlabSlots; ++i) {
         Word s = meta_->tlabSlotStart(i);
         Word e = meta_->tlabSlotEnd(i);
-        if (s == 0 && e == 0)
+        if (s >= e || e > meta_->dataSize || !isAligned(s, kWordSize) ||
+            !isAligned(e, kWordSize))
             continue;
-        if (s >= e || e > meta_->dataSize ||
-            !isAligned(s, kWordSize) || !isAligned(e, kWordSize)) {
-            continue;
-        }
-        chunks.push_back({dataBase_ + s, dataBase_ + e});
-    }
-    std::sort(chunks.begin(), chunks.end(),
-              [](const ChunkBound &a, const ChunkBound &b) {
-                  return a.start < b.start;
-              });
-    auto chunkContaining = [&](Addr a) -> const ChunkBound * {
-        for (const ChunkBound &c : chunks) {
-            if (a >= c.start && a < c.end)
-                return &c;
-            if (c.start > a)
+        Addr end = dataBase_ + e;
+        for (Addr a = dataBase_ + s; a < end;) {
+            Oop o(a);
+            std::size_t size =
+                pjhRawHeaderValid(o, klasses_.base(), klasses_.size(), delta)
+                    ? pjhRawObjectSize(o, delta)
+                    : 0;
+            if (size == 0 || size > end - a) {
+                plugFillerGap(a, end, delta);
                 break;
-        }
-        return nullptr;
-    };
-
-    Addr top = top_.load(std::memory_order_relaxed);
-    Addr a = dataBase_;
-    while (a < top) {
-        const ChunkBound *c = chunkContaining(a);
-        // Objects never span a registered chunk's end.
-        Addr limit = c ? c->end : top;
-
-        Oop o(a);
-        Word kraw = o.klassRefRaw();
-        bool valid = (kraw & Oop::kKlassPersistentTag) &&
-                     (kraw & ~Oop::kKlassPersistentTag) >= seg_base_stored &&
-                     (kraw & ~Oop::kKlassPersistentTag) <
-                         seg_base_stored + meta_->klassSegSize;
-        if (valid) {
-            auto *img = reinterpret_cast<const KlassImage *>(
-                static_cast<Addr>((kraw & ~Oop::kKlassPersistentTag) +
-                                  delta));
-            valid = img->pkr.magic == PersistentKlassRef::kMagic;
-        }
-        std::size_t size = valid ? rawSizeWithDelta(o, delta) : 0;
-        if (valid && a + size <= limit) {
+            }
             a += size;
-            continue;
         }
-
-        // A torn allocation: plug the gap up to the owning chunk's
-        // end, or — outside any registered chunk — up to the top,
-        // which is then provably the final carve.
-        plugFillerGap(a, limit, delta);
-        if (!c)
-            return;
-        a = limit;
     }
 }
 
@@ -1018,35 +906,17 @@ PjhHeap::rebase(std::ptrdiff_t delta)
     Addr top = top_.load(std::memory_order_relaxed);
     while (a < top) {
         Oop o(a);
-        Word kraw = o.klassRefRaw();
-        std::size_t size = rawSizeWithDelta(o, delta);
-        auto *img = reinterpret_cast<const KlassImage *>(
-            static_cast<Addr>((kraw & ~Oop::kKlassPersistentTag) + delta));
-        if (img->pkr.magic != PersistentKlassRef::kMagic)
+        if (!pjhRawHeaderValid(o, klasses_.base(), klasses_.size(), delta))
             panic("rebase: unparseable heap");
-
-        o.setKlassRefRaw(kraw + static_cast<Word>(delta));
-
-        auto fix = [&](Addr slot) {
+        std::size_t size = pjhRawObjectSize(o, delta);
+        // Read the layout through the stored klass word before
+        // rewriting it.
+        pjhRawForEachRefSlotWithDelta(o, delta, [&](Addr slot) {
             Addr v = loadWord(slot);
             if (v != kNullAddr && in_stored_device(v))
                 storeWord(slot, v + static_cast<Addr>(delta));
-        };
-        if (img->isArray()) {
-            if (img->elemType() == FieldType::kRef) {
-                std::uint64_t n = o.arrayLength();
-                for (std::uint64_t i = 0; i < n; ++i)
-                    fix(o.elemAddr(i, kWordSize));
-            }
-        } else {
-            const FieldImage *fields = img->fields();
-            for (Word i = 0; i < img->fieldCount; ++i) {
-                if (static_cast<FieldType>(fields[i].type) ==
-                    FieldType::kRef) {
-                    fix(o.addr() + fields[i].offset);
-                }
-            }
-        }
+        });
+        o.setKlassRefRaw(o.klassRefRaw() + static_cast<Word>(delta));
         a += size;
     }
 

@@ -21,6 +21,7 @@
 #ifndef ESPRESSO_PJH_PJH_HEAP_HH
 #define ESPRESSO_PJH_PJH_HEAP_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -153,18 +154,22 @@ class PjhHeap : public ExternalSpace
     /**
      * @name Allocation (the pnew bytecodes, §3.2 / §4.1)
      *
-     * Thread-safe: each thread bumps a private TLAB chunk carved
-     * from the shared top under the heap lock. Chunk handoff is
-     * crash-consistent — a chunk is formatted as one durable filler
-     * object before the top replica publishes it and is then
-     * registered in the metadata's TLAB slot table, and every
-     * allocation stages a trailing filler over the chunk's unused
-     * tail that the object header's fence makes durable with it. At
-     * most the last allocation of each registered chunk is torn, and
-     * recovery plugs it up to the chunk's end. Allocation waits out
-     * a collection's safepoint: the whole of an STW cycle, or a
-     * concurrent cycle's two brief pauses (in between, objects are
-     * born black).
+     * Thread-safe: every allocation bumps the TLAB chunk of one of
+     * the metadata's PjhMetadata::kMaxTlabSlots slots. A thread uses
+     * slot (ordinal % kMaxTlabSlots), its ordinal being the order in
+     * which it first allocated on this heap, so threads past the
+     * 64th share slots; a per-slot lock admits one allocation at a
+     * time. Chunks are carved from the shared top under the heap
+     * lock. Chunk handoff is crash-consistent — a chunk is formatted
+     * as one durable filler object before the top replica publishes
+     * it and is then registered in its slot, and every allocation
+     * stages a trailing filler over the chunk's unused tail that the
+     * object header's fence makes durable with it. With one
+     * allocation in flight per slot, at most the last allocation of
+     * each registered chunk is torn, and recovery plugs it up to the
+     * chunk's end. Allocation waits out a collection's safepoint: the
+     * whole of an STW cycle, or a concurrent cycle's two brief pauses
+     * (in between, objects are born black).
      */
     /// @{
     Oop allocInstance(const Klass *k);
@@ -415,17 +420,21 @@ class PjhHeap : public ExternalSpace
 
     PjhHeap(NvmDevice *device, KlassRegistry *registry);
 
-    static constexpr int kSlotUnassigned = -1;
-    /** No slot available: fall back to fully locked allocation. */
-    static constexpr int kSlotless = -2;
+    /** The volatile side of one metadata TLAB slot: the open chunk
+     * it registers, and the lock that admits one allocation at a time
+     * into it. */
+    struct alignas(64) TlabSlot
+    {
+        std::mutex mu;
+        Addr bump = 0;           ///< next free byte
+        Addr end = 0;            ///< chunk end (exclusive)
+        std::uint64_t epoch = 0; ///< tlabEpoch_ at carve time
+    };
 
-    /** One thread's private allocation window into this heap. */
+    /** One thread's allocation state for this heap. */
     struct ThreadTlab
     {
-        Addr bump = 0;              ///< next free byte
-        Addr end = 0;               ///< chunk end (exclusive)
-        int slot = kSlotUnassigned; ///< metadata TLAB slot index
-        std::uint64_t epoch = 0;    ///< tlabEpoch_ at carve time
+        std::size_t slot = 0; ///< slots_ index: ordinal % kMaxTlabSlots
         /** One-entry pnew resolution cache (klass -> persistent
          * alias + image); hit on ~every allocation of a hot class,
          * skipping two mutexes on the fast path. */
@@ -438,29 +447,26 @@ class PjhHeap : public ExternalSpace
     void cacheFillerImages();
     Oop allocRaw(const Klass *k, std::uint64_t length);
 
-    /** This thread's TLAB for this heap instance. */
-    ThreadTlab &threadTlab() const;
+    /** This thread's allocation state for this heap instance; the
+     * first call takes the thread's ordinal. */
+    ThreadTlab &threadTlab();
 
     /**
-     * Reserve @p size bytes in @p t's chunk, writing and staging
-     * (flush, no fence) the new trailing filler past them; carves a
-     * new chunk (possibly triggering a collection) when the current
-     * one cannot serve the request. Returns kNullAddr when the thread
-     * must use the slotless locked path. On return the caller owns
-     * [addr, addr+size): bytes past the old filler header are durably
-     * zero, and the caller must write and persist the object header,
-     * whose fence also makes the staged filler durable.
+     * Allocate @p size bytes in @p slot's chunk under the slot lock:
+     * reserve them, stage (flush, no fence) the chunk's new trailing
+     * filler past them, and write and persist the object header
+     * (@p image, and @p length when @p array), whose fence also makes
+     * the staged filler durable. Carves a new chunk when the open one
+     * cannot serve the request. Returns kNullAddr when the heap is
+     * full; it never triggers a collection.
      */
-    Addr tlabReserve(ThreadTlab &t, std::size_t size);
+    Addr allocInSlot(std::size_t slot, Addr image, bool array,
+                     std::uint64_t length, std::size_t size);
 
-    /** Carve and register a fresh chunk of at least @p min_size.
-     * False when the thread has no TLAB slot (slotless fallback). */
-    bool carveChunk(ThreadTlab &t, std::size_t min_size);
-
-    /** Fully locked, immediately durable allocation for threads
-     * beyond the TLAB slot table. */
-    Oop allocSlotless(const Klass *pk, Addr image, std::uint64_t length,
-                      std::size_t size);
+    /** Carve a fresh chunk of at least @p min_size and register it in
+     * @p slot (caller holds the slot lock). False when the heap is
+     * full. */
+    bool carveChunk(std::size_t slot, std::size_t min_size);
 
     /** Born-black marking for objects allocated while a concurrent
      * cycle is tracing (caller holds the allocation guard). */
@@ -475,6 +481,9 @@ class PjhHeap : public ExternalSpace
     void writeFillerHeader(Addr a, std::size_t gap,
                            Addr instance_image = 0, Addr array_image = 0);
 
+    /** Unclean attach: parse each registered TLAB chunk and plug its
+     * torn last allocation, if any. O(#slots + registered chunk
+     * bytes); nothing outside the registered chunks is read. */
     void repairAllocationTail(std::ptrdiff_t delta);
 
     /** Overwrite [junk, end) with a filler parseable in the stored
@@ -540,10 +549,6 @@ class PjhHeap : public ExternalSpace
     void zeroingScan();
     void checkRefStore(Oop obj, Oop value) const;
 
-    /** Object size via the Klass image, honoring a not-yet-rebased
-     * heap (@p delta = physical - stored address). */
-    std::size_t rawSizeWithDelta(Oop o, std::ptrdiff_t delta) const;
-
     NvmDevice *dev_;
     KlassRegistry *registry_;
     PjhMetadata *meta_ = nullptr;
@@ -566,8 +571,10 @@ class PjhHeap : public ExternalSpace
     std::uint64_t serial_;
     /** Bumped whenever a collection invalidates every TLAB. */
     std::atomic<std::uint64_t> tlabEpoch_{1};
-    /** Next free metadata TLAB slot. */
-    std::atomic<std::uint32_t> nextTlabSlot_{0};
+    /** One per metadata TLAB slot; see allocInSlot(). */
+    std::array<TlabSlot, PjhMetadata::kMaxTlabSlots> slots_;
+    /** Next thread ordinal (see threadTlab()). */
+    std::atomic<std::uint32_t> nextOrdinal_{0};
     /** Chunk size (bytes); meta_->tlabBytes, or ESPRESSO_TLAB_BYTES. */
     std::size_t tlabBytes_ = 0;
     /** GC worker threads (mark + compact); see setGcThreads(). */

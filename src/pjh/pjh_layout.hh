@@ -57,11 +57,12 @@ struct PjhConfig
     std::size_t undoLogSize = 256u << 10;
 
     /**
-     * Per-thread TLAB chunk size (bytes). Each allocating thread
-     * carves private chunks of this size from the shared top under
-     * the heap lock and bumps inside them lock-free; larger chunks
-     * amortize the carve lock better but waste more tail space on
-     * detach. Overridable at runtime with ESPRESSO_TLAB_BYTES.
+     * TLAB chunk size (bytes). Each TLAB slot carves chunks of this
+     * size from the shared top under the heap lock, and the threads
+     * using the slot bump inside them under the slot's own lock;
+     * larger chunks amortize the carve lock better but waste more
+     * tail space on detach. Overridable at runtime with
+     * ESPRESSO_TLAB_BYTES.
      */
     std::size_t tlabSize = 64u << 10;
 };
@@ -72,9 +73,10 @@ struct PjhMetadata
     static constexpr Word kMagic = 0x455350524a480001ull; // "ESPRJH",v1
     static constexpr Word kVersion = 4;
 
-    /** Maximum concurrently registered TLAB chunks. Threads beyond
-     * this fall back to fully locked, immediately durable
-     * allocation. */
+    /** Maximum concurrently registered TLAB chunks. Every allocation
+     * goes through a slot: a thread uses slot (ordinal %
+     * kMaxTlabSlots), so threads past this many share slots, one
+     * allocation at a time per slot. */
     static constexpr std::size_t kMaxTlabSlots = 64;
 
     /** Words per TLAB slot: {startOffset, endOffset} plus padding to
@@ -156,12 +158,14 @@ struct PjhMetadata
 
     /**
      * The active-TLAB registry (§4.1 extended for concurrency): slot
-     * i holds the data-heap offsets [start, end) of the chunk a
-     * thread is currently bumping into, or start == end == 0 when
-     * free. A chunk's filler over [bump, end) is staged with each
-     * allocation and made durable by that allocation's header fence,
-     * so at most the last allocation of each registered chunk is
-     * torn — recovery plugs it up to the chunk's end, never past it.
+     * i holds the data-heap offsets [start, end) of the chunk its
+     * threads are currently bumping into, or start == end == 0 when
+     * free. Every allocation lands in a registered chunk, one at a
+     * time per slot. A chunk's filler over [bump, end) is staged with
+     * each allocation and made durable by that allocation's header
+     * fence, so at most the last allocation of each registered chunk
+     * is torn — recovery plugs it up to the chunk's end and reads
+     * nothing outside the registered chunks.
      */
     Word tlabSlots[kMaxTlabSlots * kTlabSlotWords];
 

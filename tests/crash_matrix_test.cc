@@ -282,9 +282,9 @@ TEST(CrashMatrixTest, PnewTornTailSweepWithCacheEviction)
  * randomized persistence event; the injector then kills every other
  * thread at its own next persistence point (power loss is global).
  *
- * Invariants after recovery (§4.1 extended with per-thread TLABs):
- *  - the heap parses end to end (at most one torn tail per TLAB,
- *    all plugged);
+ * Invariants after recovery (§4.1 extended with TLAB slots):
+ *  - the heap parses end to end (at most one torn tail per
+ *    registered chunk, all plugged);
  *  - every surviving root is a well-formed Node holding a value some
  *    thread actually wrote — never torn or invented;
  *  - the recovered heap accepts new allocations and publications
@@ -292,10 +292,8 @@ TEST(CrashMatrixTest, PnewTornTailSweepWithCacheEviction)
  */
 struct MtRig
 {
-    static constexpr int kThreads = 4;
-    static constexpr int kOpsPerThread = 60;
-
-    MtRig()
+    MtRig(int thread_count, int ops_per_thread)
+        : threads(thread_count), opsPerThread(ops_per_thread)
     {
         rt = std::make_unique<EspressoRuntime>();
         rt->define(nodeDef());
@@ -310,11 +308,11 @@ struct MtRig
     {
         std::atomic<bool> crashed{false};
         std::vector<std::thread> workers;
-        for (int w = 0; w < kThreads; ++w) {
+        for (int w = 0; w < threads; ++w) {
             workers.emplace_back([this, w, &crashed]() {
                 std::set<std::int64_t> written;
                 try {
-                    for (int i = 0; i < kOpsPerThread &&
+                    for (int i = 0; i < opsPerThread &&
                                     !crashed.load(
                                         std::memory_order_relaxed);
                          ++i) {
@@ -346,6 +344,8 @@ struct MtRig
         return crashed.load();
     }
 
+    const int threads;
+    const int opsPerThread;
     std::unique_ptr<EspressoRuntime> rt;
     PjhHeap *heap = nullptr;
     CrashInjector injector;
@@ -364,7 +364,7 @@ verifyMtRecovered(MtRig &rig, PjhHeap *h, std::uint64_t event)
 
     // Invariant 2: surviving roots are well-formed and hold only
     // values some thread durably wrote.
-    for (int w = 0; w < MtRig::kThreads; ++w) {
+    for (int w = 0; w < rig.threads; ++w) {
         Oop root = h->getRoot("t" + std::to_string(w));
         if (root.isNull())
             continue;
@@ -378,7 +378,7 @@ verifyMtRecovered(MtRig &rig, PjhHeap *h, std::uint64_t event)
 
     // Invariant 3: the recovered heap takes concurrent new work.
     std::vector<std::thread> workers;
-    for (int w = 0; w < MtRig::kThreads; ++w) {
+    for (int w = 0; w < rig.threads; ++w) {
         workers.emplace_back([&rig, h, w]() {
             for (int i = 0; i < 8; ++i) {
                 Oop extra = rig.rt->pnewInstance(h, "Node");
@@ -390,7 +390,7 @@ verifyMtRecovered(MtRig &rig, PjhHeap *h, std::uint64_t event)
     }
     for (auto &t : workers)
         t.join();
-    for (int w = 0; w < MtRig::kThreads; ++w) {
+    for (int w = 0; w < rig.threads; ++w) {
         EXPECT_EQ(h->getRoot("extra" + std::to_string(w))
                       .getI64(rig.valueOff),
                   777000 + w)
@@ -399,12 +399,13 @@ verifyMtRecovered(MtRig &rig, PjhHeap *h, std::uint64_t event)
 }
 
 void
-sweepMt(CrashMode mode, std::uint64_t seed, int iterations)
+sweepMt(CrashMode mode, std::uint64_t seed, int iterations, int threads,
+        int ops_per_thread)
 {
     // Size the random crash points against an uninterrupted run.
     std::uint64_t max_events;
     {
-        MtRig probe;
+        MtRig probe(threads, ops_per_thread);
         ASSERT_FALSE(probe.run());
         max_events = probe.injector.eventCount();
         ASSERT_GT(max_events, 0u);
@@ -413,7 +414,7 @@ sweepMt(CrashMode mode, std::uint64_t seed, int iterations)
     Rng rng(seed);
     for (int it = 0; it < iterations; ++it) {
         std::uint64_t event = 1 + rng.nextBelow(max_events);
-        MtRig rig;
+        MtRig rig(threads, ops_per_thread);
         rig.injector.arm(event);
         bool crashed = rig.run();
         rig.injector.disarm();
@@ -435,12 +436,28 @@ sweepMt(CrashMode mode, std::uint64_t seed, int iterations)
 
 TEST(CrashMatrixTest, MtAllocRootSweepConservative)
 {
-    sweepMt(CrashMode::kDiscardUnflushed, 31, 24);
+    sweepMt(CrashMode::kDiscardUnflushed, 31, 24, 4, 60);
 }
 
 TEST(CrashMatrixTest, MtAllocRootSweepWithCacheEviction)
 {
-    sweepMt(CrashMode::kEvictRandomLines, 57, 24);
+    sweepMt(CrashMode::kEvictRandomLines, 57, 24, 4, 60);
+}
+
+// Threads past the 64th share TLAB slots: a shared slot admits one
+// allocation at a time, so the same invariants must hold with two
+// threads interleaving pnews in one registered chunk.
+constexpr int kSharedSlotThreads =
+    static_cast<int>(PjhMetadata::kMaxTlabSlots) + 8;
+
+TEST(CrashMatrixTest, MtAllocRootSweepSharedSlotsConservative)
+{
+    sweepMt(CrashMode::kDiscardUnflushed, 73, 24, kSharedSlotThreads, 20);
+}
+
+TEST(CrashMatrixTest, MtAllocRootSweepSharedSlotsWithCacheEviction)
+{
+    sweepMt(CrashMode::kEvictRandomLines, 89, 24, kSharedSlotThreads, 20);
 }
 
 // ---------------------------------------------------------------------

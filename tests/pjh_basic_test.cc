@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <thread>
 
 #include "core/espresso.hh"
 #include "util/logging.hh"
@@ -191,47 +192,78 @@ TEST_F(PjhBasicTest, PnewIntoAnOpenChunkCostsOneFence)
 {
     // A pnew into the open TLAB chunk stages the chunk's new trailing
     // filler and persists the header under one fence, whether or not
-    // a remainder is left behind.
+    // a remainder is left behind — in a slot of its own and in a slot
+    // that a thread past the 64th shares.
     Klass *person = rt_->registry().resolve("Person", MemKind::kPersistent);
     Klass *longs =
         rt_->registry().arrayOf(FieldType::kI64, MemKind::kPersistent);
-    // Carve the first chunk and persist both Klass images.
-    Oop last = h_->allocInstance(person);
-    const std::size_t person_bytes = last.sizeInBytes();
-    last = h_->allocArray(longs, 4);
+    // Room for a chunk per slot plus the carves below, so no
+    // collection retires the open chunks mid-test.
+    PjhHeap *heap = rt_->heaps().createHeap("slots", 16u << 20);
+    const NvmStats &st = rt_->heaps().deviceOf("slots")->stats();
 
-    const NvmStats &st = rt_->heaps().deviceOf("Jimmy")->stats();
-    auto fences = [&](const std::function<Oop()> &alloc) {
-        std::uint64_t before = st.fences.load();
-        last = alloc();
-        return st.fences.load() - before;
+    auto pnews_cost_one_fence = [&]() {
+        // Open (or join) this thread's chunk; persist both Klass
+        // images.
+        Oop last = heap->allocInstance(person);
+        const std::size_t person_bytes = last.sizeInBytes();
+        last = heap->allocArray(longs, 4);
+
+        auto fences = [&](const std::function<Oop()> &alloc) {
+            std::uint64_t before = st.fences.load();
+            last = alloc();
+            return st.fences.load() - before;
+        };
+        // Bytes left past the latest allocation in its registered
+        // chunk.
+        auto chunk_left = [&]() -> std::size_t {
+            const PjhMetadata &meta = heap->meta();
+            Addr off = last.addr() - heap->dataBase();
+            for (std::size_t i = 0; i < PjhMetadata::kMaxTlabSlots; ++i) {
+                if (meta.tlabSlotStart(i) <= off && off < meta.tlabSlotEnd(i))
+                    return meta.tlabSlotEnd(i) - off - last.sizeInBytes();
+            }
+            ADD_FAILURE() << "allocation outside every registered chunk";
+            return 0;
+        };
+
+        // With a remainder.
+        EXPECT_EQ(fences([&] { return heap->allocInstance(person); }), 1u);
+        EXPECT_EQ(fences([&] { return heap->allocArray(longs, 7); }), 1u);
+
+        // An array that leaves room for exactly one Person, then that
+        // Person: an instance exact fit (rem == 0).
+        std::uint64_t len = (chunk_left() - person_bytes -
+                             ObjectLayout::kArrayHeaderSize) /
+                            kWordSize;
+        EXPECT_EQ(fences([&] { return heap->allocArray(longs, len); }), 1u);
+        ASSERT_EQ(chunk_left(), person_bytes);
+        EXPECT_EQ(fences([&] { return heap->allocInstance(person); }), 1u);
+        EXPECT_EQ(chunk_left(), 0u);
+
+        // The next pnew carves a second chunk; an array sized to all
+        // of what it leaves is an array exact fit.
+        last = heap->allocInstance(person);
+        len = (chunk_left() - ObjectLayout::kArrayHeaderSize) / kWordSize;
+        EXPECT_EQ(fences([&] { return heap->allocArray(longs, len); }), 1u);
+        EXPECT_EQ(chunk_left(), 0u);
     };
-    // The test thread holds the heap's first TLAB slot.
-    auto chunk_left = [&]() -> std::size_t {
-        return h_->dataBase() + h_->meta().tlabSlotEnd(0) -
-               (last.addr() + last.sizeInBytes());
-    };
 
-    // With a remainder.
-    EXPECT_EQ(fences([&] { return h_->allocInstance(person); }), 1u);
-    EXPECT_EQ(fences([&] { return h_->allocArray(longs, 7); }), 1u);
+    // The test thread takes ordinal 0: the first slot, its own.
+    pnews_cost_one_fence();
 
-    // An array that leaves room for exactly one Person, then that
-    // Person: an instance exact fit (rem == 0).
-    std::uint64_t len = (chunk_left() - person_bytes -
-                         ObjectLayout::kArrayHeaderSize) /
-                        kWordSize;
-    EXPECT_EQ(fences([&] { return h_->allocArray(longs, len); }), 1u);
-    ASSERT_EQ(chunk_left(), person_bytes);
-    EXPECT_EQ(fences([&] { return h_->allocInstance(person); }), 1u);
-    EXPECT_EQ(chunk_left(), 0u);
-
-    // The next pnew carves a second chunk; an array sized to all of
-    // what it leaves is an array exact fit.
-    last = h_->allocInstance(person);
-    len = (chunk_left() - ObjectLayout::kArrayHeaderSize) / kWordSize;
-    EXPECT_EQ(fences([&] { return h_->allocArray(longs, len); }), 1u);
-    EXPECT_EQ(chunk_left(), 0u);
+    // 64 short-lived threads take ordinals 1..64, so the next thread's
+    // ordinal is past the slot table and its slot is shared with a
+    // thread that already opened a chunk there.
+    for (std::size_t i = 0; i < PjhMetadata::kMaxTlabSlots; ++i)
+        std::thread([&] { heap->allocInstance(person); }).join();
+    std::thread([&] {
+        const Addr top = heap->dataTop();
+        heap->allocInstance(person);
+        EXPECT_EQ(heap->dataTop(), top) << "the shared slot's chunk was "
+                                           "not open";
+        pnews_cost_one_fence();
+    }).join();
 }
 
 TEST_F(PjhBasicTest, AllocationFailsCleanlyWhenFull)

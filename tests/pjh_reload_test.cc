@@ -219,6 +219,39 @@ TEST_F(PjhReloadTest, RepeatedDetachLoadCycles)
     }
 }
 
+TEST_F(PjhReloadTest, UncleanLoadTouchesOnlyRegisteredChunks)
+{
+    // Every allocation lands in a registered TLAB chunk, so an unclean
+    // load repairs those chunks only. Plant an unparseable header in
+    // a chunk that attach has since retired; the load after a power
+    // failure must leave it alone.
+    PjhHeap *h = rt_->heaps().createHeap("list", 4u << 20);
+    Oop planted;
+    for (int i = 0; i < 10; ++i) {
+        Oop n = rt_->pnewInstance(h, "Node");
+        n.setI64(valueOff_, i);
+        h->flushObject(n);
+        if (i == 3)
+            planted = n;
+    }
+    rt_->heaps().detachHeap("list");
+    h = rt_->heaps().loadHeap("list"); // retires the slot table
+
+    Oop ack = rt_->pnewInstance(h, "Node");
+    ack.setI64(valueOff_, 4242);
+    h->flushObject(ack);
+    h->setRoot("ack", ack);
+    const Addr klass_word = planted.addr() + ObjectLayout::kKlassOffset;
+    storeWord(klass_word, 0);
+    h->device().persist(klass_word, kWordSize);
+
+    rt_->heaps().crashHeap("list");
+    h = rt_->heaps().loadHeap("list", SafetyLevel::kUserGuaranteed);
+    EXPECT_EQ(h->stats().tailRepairs, 0u);
+    EXPECT_EQ(loadWord(klass_word), 0u);
+    EXPECT_EQ(h->getRoot("ack").getI64(valueOff_), 4242);
+}
+
 TEST_F(PjhReloadTest, LoadTimeIsDominatedByKlassCountNotObjects)
 {
     // The Fig. 18 property, as a coarse assertion: loading a heap
