@@ -4,7 +4,8 @@
  * threads over real TCP sockets against the reactor Server, measuring
  * whether group commit actually batches fences *across connections*.
  *
- * Scenarios (4 shards, 16 WAL shards each, auto group-commit window,
+ * Scenarios (4 shards, 16 WAL shards each, natural group commit: no
+ * window, commits that park while a drain fences share the next one;
  * emulated 25us persist fences):
  *
  *  1. pipeline sweep — closed-loop clients, 4 ops in flight per
@@ -172,17 +173,14 @@ struct Fixture
 
     /** Aggregate group-commit stats across the members. */
     void
-    commitStats(std::uint64_t *txns, std::uint64_t *batches,
-                std::uint64_t *auto_window_ns) const
+    commitStats(std::uint64_t *txns, std::uint64_t *batches) const
     {
-        *txns = *batches = *auto_window_ns = 0;
+        *txns = *batches = 0;
         for (unsigned i = 0; i < db->shardCount(); ++i) {
             CommitCoordinator::Stats s =
                 db->shard(i).commitCoordinator().stats();
             *txns += s.txns;
             *batches += s.batches;
-            *auto_window_ns =
-                std::max(*auto_window_ns, s.autoWindowNs);
         }
     }
 };
@@ -352,7 +350,6 @@ struct ScenarioResult
     std::uint64_t busy = 0;
     std::uint64_t errors = 0;
     double avgBatch = 0;
-    std::uint64_t autoWindowNs = 0;
 };
 
 ScenarioResult
@@ -360,8 +357,8 @@ closedLoopPoint(Fixture &fx, int conns, int depth,
                 std::uint64_t ops_per_conn, bool zipf_keys)
 {
     std::uint64_t fences0 = fx.fences();
-    std::uint64_t txns0, batches0, win0;
-    fx.commitStats(&txns0, &batches0, &win0);
+    std::uint64_t txns0, batches0;
+    fx.commitStats(&txns0, &batches0);
 
     std::vector<ConnResult> results(
         static_cast<std::size_t>(conns));
@@ -392,12 +389,11 @@ closedLoopPoint(Fixture &fx, int conns, int depth,
     if (r.committed + r.busy > 0)
         r.rejectRate = static_cast<double>(r.busy) /
                        static_cast<double>(r.committed + r.busy);
-    std::uint64_t txns1, batches1, win1;
-    fx.commitStats(&txns1, &batches1, &win1);
+    std::uint64_t txns1, batches1;
+    fx.commitStats(&txns1, &batches1);
     if (batches1 > batches0)
         r.avgBatch = static_cast<double>(txns1 - txns0) /
                      static_cast<double>(batches1 - batches0);
-    r.autoWindowNs = win1;
     return r;
 }
 
@@ -457,7 +453,8 @@ main()
     bench::printHeader(
         "wire_bench — pipelined connections through the reactor "
         "front door",
-        "4 shards x 16 WAL shards, auto group-commit window, 25us "
+        "4 shards x 16 WAL shards, natural group commit (no window: "
+        "commits parked during a drain share the next), 25us "
         "emulated fences; closed-loop depth-4 pipelines, then "
         "zipfian hot keys, then CO-corrected open-loop overload "
         "(max connections: ESPRESSO_WIRE_CONNS=" +
@@ -506,7 +503,6 @@ main()
             .field("p999_us", r.pct.p999)
             .field("fences_per_txn", r.fencesPerTxn)
             .field("avg_batch", r.avgBatch)
-            .field("auto_window_ns", r.autoWindowNs)
             .field("busy_retries", r.busy)
             .field("errors", r.errors);
     }

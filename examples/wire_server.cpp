@@ -8,7 +8,8 @@
  * Knobs: ESPRESSO_SHARDS (members), ESPRESSO_NET_WORKERS (event
  * loops), ESPRESSO_NET_QUEUE_DEPTH (per-worker admission),
  * ESPRESSO_DB_GROUP_COMMIT (fence coalescing window in µs, or
- * "auto"). Pair with bench/wire_bench as the load driver.
+ * "auto" for natural group commit with no window). Pair with
+ * bench/wire_bench as the load generator.
  */
 
 #include <atomic>

@@ -11,6 +11,10 @@ namespace db {
 
 namespace {
 
+/** Arrival gaps above this don't feed the EWMA (an idle pause is not
+ * a signal about the arrival rate under load). */
+constexpr std::uint64_t kMaxArrivalGapNs = 10'000'000;
+
 std::uint64_t
 steadyNowNs()
 {
@@ -55,33 +59,16 @@ CommitCoordinator::noteArrival()
         lastArrivalNs_.exchange(now, std::memory_order_relaxed);
     if (last == 0 || now <= last)
         return;
-    std::uint64_t gap = std::min(now - last, kAutoMaxGapNs);
+    std::uint64_t gap = std::min(now - last, kMaxArrivalGapNs);
     std::uint64_t e = ewmaGapNs_.load(std::memory_order_relaxed);
     ewmaGapNs_.store(e == 0 ? gap : (e * 7 + gap) / 8,
                      std::memory_order_relaxed);
 }
 
 std::uint64_t
-CommitCoordinator::effectiveWindowNs()
+CommitCoordinator::effectiveWindowNs() const
 {
-    std::uint64_t w = windowNs_.load(std::memory_order_relaxed);
-    if (w != kAutoWindow)
-        return w;
-    unsigned infl = inflight_.load(std::memory_order_relaxed);
-    if (infl <= 1) {
-        // Nobody to coalesce with: degenerate to the eager path so
-        // an uncontended committer never waits.
-        statAutoWindow_.store(0, std::memory_order_relaxed);
-        return 0;
-    }
-    std::uint64_t gap = ewmaGapNs_.load(std::memory_order_relaxed);
-    if (gap == 0)
-        return 0;
-    std::uint64_t win = std::min(
-        gap * std::min<std::uint64_t>(infl, kMaxBatch),
-        kAutoMaxWindowNs);
-    statAutoWindow_.store(win, std::memory_order_relaxed);
-    return win;
+    return windowNs_ == kAutoWindow ? 0 : windowNs_;
 }
 
 void
@@ -144,22 +131,11 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
         std::size_t last_size = pending_.size();
         auto last_arrival = now;
         for (;;) {
+            // Once every in-flight txn has joined there is nothing
+            // left to wait for.
             unsigned target = std::min(
                 kMaxBatch, std::max(1u, inflight_.load(
                                             std::memory_order_relaxed)));
-            // Sync committers all park before committing, so once
-            // every in-flight txn has joined there is nothing to
-            // wait for. Async entries are different: their pipelined
-            // successors don't exist yet (the connection's next
-            // frame begins only after this one parked), they block
-            // no caller, and the arrival EWMA says more are coming —
-            // so ride the window instead of draining at the
-            // instantaneous in-flight count.
-            for (Waiter *w : pending_)
-                if (w->asyncDone) {
-                    target = kMaxBatch;
-                    break;
-                }
             if (pending_.size() >= target)
                 break;
             if (pending_.size() != last_size) {
@@ -233,9 +209,7 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
 void
 CommitCoordinator::commit(WalShard &shard)
 {
-    noteArrival();
-    std::uint64_t window = effectiveWindowNs();
-    if (window == 0) {
+    if (effectiveWindowNs() == 0) {
         shard.commitEager();
         statBatches_.fetch_add(1, std::memory_order_relaxed);
         statTxns_.fetch_add(1, std::memory_order_relaxed);
@@ -243,6 +217,7 @@ CommitCoordinator::commit(WalShard &shard)
         return;
     }
 
+    noteArrival();
     Waiter self;
     self.shard = &shard;
     std::unique_lock<std::mutex> lock(mu_);
@@ -267,7 +242,8 @@ CommitCoordinator::commit(WalShard &shard)
 void
 CommitCoordinator::commitAsync(WalShard &shard, DoneFn done)
 {
-    noteArrival();
+    if (effectiveWindowNs() > 0)
+        noteArrival();
     Waiter *w = new Waiter;
     w->shard = &shard;
     w->asyncDone = std::move(done);
@@ -290,9 +266,8 @@ CommitCoordinator::drainerLoop()
             cv_.wait(lock);
             continue;
         }
-        // Even with a zero window this drains whatever accumulated
-        // while the previous batch fenced — opportunistic batching
-        // for pipelined async commits in eager mode.
+        // With no window this drains whatever accumulated while the
+        // previous batch fenced: natural group commit.
         leadBatch(lock);
     }
 }
@@ -334,7 +309,6 @@ CommitCoordinator::stats() const
     s.maxBatch = statMaxBatch_.load(std::memory_order_relaxed);
     s.windowTimeouts =
         statWindowTimeouts_.load(std::memory_order_relaxed);
-    s.autoWindowNs = statAutoWindow_.load(std::memory_order_relaxed);
     return s;
 }
 

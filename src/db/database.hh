@@ -71,15 +71,14 @@ struct DatabaseConfig
      * else warns and commits eagerly. */
     static constexpr std::uint64_t kWindowFromEnv = ~0ull;
 
-    /** Auto-tune the window from the observed commit arrival rate
-     * (ESPRESSO_DB_GROUP_COMMIT=auto): an uncontended committer gets
-     * the eager path, concurrent committers get a window sized to
-     * one batch of arrivals. See CommitCoordinator. */
+    /** Natural group commit (ESPRESSO_DB_GROUP_COMMIT=auto): no
+     * committer waits; async commits that park while a drain fences
+     * share the next one. Commits exactly as 0 does. See
+     * CommitCoordinator. */
     static constexpr std::uint64_t kWindowAuto = ~0ull - 1;
 
-    /** Group-commit batch window in microseconds; 0 commits eagerly
-     * (the seed behavior); kWindowAuto auto-tunes. Defaults to the
-     * env knob, else 0. */
+    /** Group-commit batch window in microseconds; 0 and kWindowAuto
+     * never wait. Defaults to the env knob, else 0. */
     std::uint64_t groupCommitWindowUs = kWindowFromEnv;
 };
 

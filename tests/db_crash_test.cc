@@ -3,8 +3,9 @@
  * Database crash sweeps: a power failure at every persistence event
  * of a multi-statement transaction must leave the database atomic —
  * either the whole transaction or none of it — under both crash
- * modes. Also sweeps DDL (catalog publication) and the cross-shard
- * two-phase commit protocol (prepare / decision / finish windows).
+ * modes. Also sweeps DDL (catalog publication), the cross-shard
+ * two-phase commit protocol (prepare / decision / finish windows)
+ * and pipelined async commits drained by the group-commit drainer.
  * Every transaction runs in a db::Txn that stays in scope while the
  * power fails under it, so its unwinding must leave the engine alone.
  */
@@ -13,6 +14,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -807,6 +809,191 @@ TEST(DbCrashTest, TxnInScopeTwoPhaseCommitSweepWithCacheEviction)
                                     inscope::crossShardWrite,
                                     inscope::crossShardApplied,
                                     CrashMode::kEvictRandomLines);
+}
+
+// ---------------------------------------------------------------------
+// Async commit sweep: the wire front door's commit path. One thread
+// sends pipelined Txn::commitAsync commits, each writing its own two
+// rows, without waiting for earlier callbacks; the group-commit
+// drainer stages and fences them, so the power fails on the drainer
+// thread as well as on the committing one. A commit whose callback reported
+// ok must survive; every other commit is whole or absent.
+// ---------------------------------------------------------------------
+
+namespace async {
+
+/** Fewer commits than WAL shards: tryBeginTxn always finds a free
+ * token, even while every earlier commit still holds its own. */
+constexpr int kCommits = 6;
+
+std::unique_ptr<Database>
+makeAsyncDb()
+{
+    DatabaseConfig cfg;
+    cfg.rowRegionSize = 2u << 20;
+    cfg.rowsPerTable = 256;
+    cfg.walShards = 8;
+    cfg.groupCommitWindowUs = DatabaseConfig::kWindowAuto;
+    auto db = std::make_unique<Database>(cfg);
+    db->executeSql("CREATE TABLE KV (ID BIGINT PRIMARY KEY, V BIGINT)");
+    for (int pk = 0; pk < 2 * kCommits; ++pk)
+        db->executeSql("INSERT INTO KV (ID, V) VALUES (" +
+                       std::to_string(pk) + ", 0)");
+    return db;
+}
+
+/** What became of one commit. */
+enum Fate : int
+{
+    kNeverSent, ///< the power failed before its commitAsync
+    kFailed,    ///< its callback reported an error
+    kOk,        ///< its callback reported ok
+};
+
+struct Run
+{
+    std::array<std::atomic<int>, kCommits> fate;
+    /** The committing thread saw the power fail. */
+    bool clientCut = false;
+
+    Run()
+    {
+        for (auto &f : fate)
+            f.store(kNeverSent);
+    }
+};
+
+/** Commit i writes 100 + i to rows 2i and 2i+1. Returns once every
+ * sent commit's callback has run: after a power failure the
+ * injector kills the drainer's later events too, so each fires. */
+void
+runPipeline(Database &db, Run *run)
+{
+    std::atomic<int> outstanding{0};
+    try {
+        for (int i = 0; i < kCommits; ++i) {
+            Txn txn;
+            Status s = db.tryBeginTxn({}, &txn);
+            if (!s.isOk()) {
+                ADD_FAILURE() << "commit " << i << ": " << s.message();
+                break;
+            }
+            for (int k = 0; k < 2; ++k) {
+                DbRecord rec;
+                rec.values = {DbValue::ofI64(2 * i + k),
+                              DbValue::ofI64(100 + i)};
+                rec.dirtyMask = 1ull << 1;
+                db.persistRecord("KV", rec);
+            }
+            outstanding.fetch_add(1);
+            txn.commitAsync([run, i, &outstanding](Status st) {
+                run->fate[i].store(st.isOk() ? kOk : kFailed);
+                outstanding.fetch_sub(1, std::memory_order_release);
+            });
+        }
+    } catch (const SimulatedCrash &) {
+        run->clientCut = true;
+    }
+    while (outstanding.load(std::memory_order_acquire) != 0)
+        std::this_thread::yield();
+}
+
+std::int64_t
+valueOf(Database &db, std::int64_t pk)
+{
+    DbRecord out;
+    return db.fetchRecord("KV", pk, &out) ? out.values[1].i : -1;
+}
+
+void
+asyncSweep(CrashMode mode)
+{
+    setWarningsEnabled(false);
+    // Dry run: the clean run's event count. Batching varies with the
+    // interleaving, so a trial may run more or fewer events; the
+    // sweep continues until a trial past this count finishes clean.
+    std::uint64_t clean_events;
+    {
+        auto db = makeAsyncDb();
+        CrashInjector probe;
+        db->device().setInjector(&probe);
+        Run run;
+        runPipeline(*db, &run);
+        db->device().setInjector(nullptr);
+        clean_events = probe.eventCount();
+        for (int i = 0; i < kCommits; ++i)
+            ASSERT_EQ(run.fate[i].load(), kOk) << "commit " << i;
+    }
+    ASSERT_GT(clean_events, 0u);
+
+    constexpr std::uint64_t kSeedBase = 500;
+    unsigned cuts = 0;
+    unsigned drainer_cuts = 0;
+    std::uint64_t event = 1;
+    for (;; ++event) {
+        auto db = makeAsyncDb();
+        CrashInjector inj;
+        db->device().setInjector(&inj);
+        inj.arm(event);
+        Run run;
+        runPipeline(*db, &run);
+        bool cut = inj.tripped();
+        inj.disarm();
+        db->device().setInjector(nullptr);
+        if (!cut) {
+            if (event > clean_events)
+                break;
+            continue; // this interleaving batched into fewer events
+        }
+        ++cuts;
+        // The committing thread finished untouched, so the drainer
+        // took the cut.
+        if (!run.clientCut)
+            ++drainer_cuts;
+        db->crash(mode, kSeedBase + event);
+
+        for (int i = 0; i < kCommits; ++i) {
+            std::int64_t a = valueOf(*db, 2 * i);
+            std::int64_t b = valueOf(*db, 2 * i + 1);
+            int fate = run.fate[i].load();
+            EXPECT_EQ(a, b) << "event " << event << ": commit " << i
+                            << " torn";
+            EXPECT_TRUE(a == 0 || a == 100 + i)
+                << "event " << event << ": commit " << i << " reads "
+                << a;
+            if (fate == kOk) {
+                EXPECT_EQ(a, 100 + i) << "event " << event << ": commit "
+                                      << i << " acknowledged, then lost";
+            }
+            if (fate == kNeverSent) {
+                EXPECT_EQ(a, 0) << "event " << event << ": commit " << i
+                                << " never sent, yet visible";
+            }
+        }
+        EXPECT_EQ(db->rowCount("KV"), static_cast<std::size_t>(2 * kCommits));
+        EXPECT_EQ(db->busyWalShards(), 0u) << "event " << event;
+        if (testing::Test::HasFailure())
+            break;
+    }
+    std::printf("[ async sweep ] %u events clean, %u power cuts (%u on "
+                "the drainer thread), crash seeds %llu..%llu\n",
+                static_cast<unsigned>(clean_events), cuts, drainer_cuts,
+                static_cast<unsigned long long>(kSeedBase + 1),
+                static_cast<unsigned long long>(kSeedBase + event));
+    EXPECT_GT(drainer_cuts, 0u);
+    setWarningsEnabled(true);
+}
+
+} // namespace async
+
+TEST(DbCrashTest, AsyncCommitSweepConservative)
+{
+    async::asyncSweep(CrashMode::kDiscardUnflushed);
+}
+
+TEST(DbCrashTest, AsyncCommitSweepWithCacheEviction)
+{
+    async::asyncSweep(CrashMode::kEvictRandomLines);
 }
 
 TEST(DbCrashTest, DdlSweep)

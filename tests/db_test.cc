@@ -12,7 +12,9 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "db/database.hh"
 #include "db/sharded_database.hh"
@@ -569,7 +571,7 @@ TEST(GroupCommitTest, ConcurrentCommittersShareOneDrain)
     }
 }
 
-TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
+TEST(GroupCommitTest, AutoWindowNeverWaitsAtAnyConcurrency)
 {
     DatabaseConfig cfg;
     cfg.rowRegionSize = 2u << 20;
@@ -601,9 +603,9 @@ TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
     EXPECT_EQ(db.commitCoordinator().effectiveWindowNs(), 0u);
     EXPECT_EQ(db.commitCoordinator().stats().autoWindowNs, 0u);
 
-    // Phase 2: four in-flight committers parked at a barrier. The
-    // EWMA has seen the phase-1 arrival gaps, so with inflight > 1
-    // the derived window must open up (and be published in stats).
+    // Phase 2: four in-flight committers released from a barrier.
+    // Natural group commit opens no window however many are in
+    // flight: each commits at once, durably, and none times out.
     constexpr int kThreads = 4;
     std::atomic<int> staged{0};
     std::atomic<bool> go{false};
@@ -622,17 +624,201 @@ TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
     }
     while (staged.load() != kThreads)
         std::this_thread::yield();
-    EXPECT_GT(db.commitCoordinator().effectiveWindowNs(), 0u);
-    EXPECT_GT(db.commitCoordinator().stats().autoWindowNs, 0u);
-    EXPECT_LE(db.commitCoordinator().stats().autoWindowNs,
-              CommitCoordinator::kAutoMaxWindowNs);
+    EXPECT_EQ(db.commitCoordinator().inflight(),
+              static_cast<unsigned>(kThreads));
+    EXPECT_EQ(db.commitCoordinator().effectiveWindowNs(), 0u);
     go.store(true, std::memory_order_release);
     for (auto &w : workers)
         w.join();
     CommitCoordinator::Stats after = db.commitCoordinator().stats();
     EXPECT_EQ(after.txns - mid.txns,
               static_cast<std::uint64_t>(kThreads));
+    EXPECT_EQ(after.windowTimeouts, before.windowTimeouts);
+    EXPECT_EQ(after.autoWindowNs, 0u);
+
+    db.crash(CrashMode::kDiscardUnflushed);
     EXPECT_EQ(db.rowCount("T"), static_cast<std::size_t>(kSeq + kThreads));
+    for (int t = 0; t < kThreads; ++t) {
+        ResultSet rs = db.executeSql("SELECT V FROM T WHERE ID = " +
+                                     std::to_string(100 + t));
+        ASSERT_EQ(rs.rows.size(), 1u) << "txn " << t << " lost";
+        EXPECT_EQ(rs.rows[0][0].i, t);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Auto mode waits for committers, not for open transactions. Each
+// test keeps a second transaction open (begun, written, not
+// committing) beside a commit. A window scaled by begun transactions
+// would hold that commit, and its row locks, until the window timed
+// out; natural group commit drains it at once, in one batch.
+// ---------------------------------------------------------------------
+
+namespace autowin {
+
+DatabaseConfig
+autoConfig()
+{
+    DatabaseConfig cfg;
+    cfg.rowRegionSize = 2u << 20;
+    cfg.rowsPerTable = 256;
+    cfg.walShards = 8;
+    cfg.groupCommitWindowUs = DatabaseConfig::kWindowAuto;
+    return cfg;
+}
+
+DbRecord
+row(std::int64_t id, std::int64_t v)
+{
+    DbRecord rec;
+    rec.values = {DbValue::ofI64(id), DbValue::ofI64(v)};
+    return rec;
+}
+
+/** Runs @p body on a second thread while that thread holds an open
+ * transaction on @p engine that wrote @p pks, then rolls it back. */
+template <typename Engine>
+void
+besideOpenTxn(Engine &engine, const std::vector<std::int64_t> &pks,
+              const std::function<void()> &body)
+{
+    std::atomic<bool> opened{false};
+    std::atomic<bool> finished{false};
+    std::thread holder([&]() {
+        Txn open = engine.beginTxn();
+        for (std::int64_t pk : pks)
+            engine.persistRecord("T", row(pk, -1));
+        opened.store(true, std::memory_order_release);
+        while (!finished.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        EXPECT_TRUE(open.rollback().isOk());
+    });
+    while (!opened.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    body();
+    finished.store(true, std::memory_order_release);
+    holder.join();
+}
+
+/** Two warm-up commits: with an arrival-rate window they would give
+ * it a rate to scale. */
+template <typename Engine>
+void
+warmUp(Engine &engine, std::int64_t first_pk)
+{
+    for (std::int64_t pk = first_pk; pk < first_pk + 2; ++pk) {
+        Txn txn = engine.beginTxn();
+        engine.persistRecord("T", row(pk, pk));
+        ASSERT_TRUE(txn.commit().isOk());
+    }
+}
+
+} // namespace autowin
+
+TEST(GroupCommitTest, AutoCommitBesideOpenTxnTakesNoWindow)
+{
+    Database db(autowin::autoConfig());
+    db.executeSql("CREATE TABLE T (ID BIGINT PRIMARY KEY, V BIGINT)");
+    autowin::warmUp(db, 0);
+    CommitCoordinator &coord = db.commitCoordinator();
+    CommitCoordinator::Stats before = coord.stats();
+
+    autowin::besideOpenTxn(db, {50}, [&]() {
+        EXPECT_EQ(coord.inflight(), 1u);
+        Txn txn = db.beginTxn();
+        db.persistRecord("T", autowin::row(10, 10));
+        EXPECT_EQ(coord.inflight(), 2u);
+        EXPECT_TRUE(txn.commit().isOk());
+        CommitCoordinator::Stats after = coord.stats();
+        EXPECT_EQ(after.windowTimeouts, before.windowTimeouts);
+        EXPECT_EQ(after.batches - before.batches, 1u);
+        EXPECT_EQ(after.txns - before.txns, 1u);
+    });
+
+    db.crash(CrashMode::kDiscardUnflushed);
+    DbRecord out;
+    ASSERT_TRUE(db.fetchRecord("T", 10, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+    EXPECT_FALSE(db.fetchRecord("T", 50, &out));
+}
+
+TEST(GroupCommitTest, AutoAsyncCommitBesideOpenTxnTakesNoWindow)
+{
+    Database db(autowin::autoConfig());
+    db.executeSql("CREATE TABLE T (ID BIGINT PRIMARY KEY, V BIGINT)");
+    autowin::warmUp(db, 0);
+    CommitCoordinator &coord = db.commitCoordinator();
+    CommitCoordinator::Stats before = coord.stats();
+
+    autowin::besideOpenTxn(db, {50}, [&]() {
+        Txn txn = db.beginTxn();
+        db.persistRecord("T", autowin::row(10, 10));
+        EXPECT_EQ(coord.inflight(), 2u);
+        std::atomic<bool> done{false};
+        std::atomic<bool> ok{false};
+        txn.commitAsync([&](Status s) {
+            ok.store(s.isOk());
+            done.store(true, std::memory_order_release);
+        });
+        while (!done.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        EXPECT_TRUE(ok.load());
+        CommitCoordinator::Stats after = coord.stats();
+        EXPECT_EQ(after.windowTimeouts, before.windowTimeouts);
+        EXPECT_EQ(after.batches - before.batches, 1u);
+        EXPECT_EQ(after.txns - before.txns, 1u);
+    });
+
+    db.crash(CrashMode::kDiscardUnflushed);
+    DbRecord out;
+    ASSERT_TRUE(db.fetchRecord("T", 10, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+    EXPECT_EQ(db.busyWalShards(), 0u);
+}
+
+TEST(GroupCommitTest, AutoSingleMemberBracketBesideOpenCrossShardBracket)
+{
+    // The embedded TPC-C shape: most brackets span members and commit
+    // through 2PC, which bypasses the group-commit coordinator, while
+    // a single-member bracket commits through its member's
+    // coordinator with the cross-shard bracket's member transaction
+    // open beside it.
+    ShardedDatabaseConfig cfg;
+    cfg.shards = 2;
+    cfg.shard = autowin::autoConfig();
+    ShardedDatabase database(cfg);
+    database.createTable(TableSchema{
+        "T", {{"ID", DbType::kI64}, {"V", DbType::kI64}}, 0,
+        TableSchema::kNoIndex});
+    std::vector<std::int64_t> on0, on1;
+    for (std::int64_t pk = 0; on0.size() < 4 || on1.size() < 1; ++pk)
+        (database.shardIndexForPk(pk) == 0 ? on0 : on1).push_back(pk);
+    for (std::int64_t pk = 0; pk < 2; ++pk) {
+        // Warm member 0's coordinator on its own keys.
+        Txn txn = database.beginTxn();
+        database.persistRecord("T", autowin::row(on0[pk], 1));
+        ASSERT_TRUE(txn.commit().isOk());
+    }
+    CommitCoordinator &coord0 = database.shard(0).commitCoordinator();
+    CommitCoordinator::Stats before = coord0.stats();
+
+    autowin::besideOpenTxn(database, {on0[3], on1[0]}, [&]() {
+        EXPECT_EQ(coord0.inflight(), 1u);
+        Txn txn = database.beginTxn();
+        database.persistRecord("T", autowin::row(on0[2], 7));
+        EXPECT_EQ(coord0.inflight(), 2u);
+        EXPECT_TRUE(txn.commit().isOk());
+        CommitCoordinator::Stats after = coord0.stats();
+        EXPECT_EQ(after.windowTimeouts, before.windowTimeouts);
+        EXPECT_EQ(after.batches - before.batches, 1u);
+    });
+
+    database.crash(CrashMode::kDiscardUnflushed);
+    DbRecord out;
+    ASSERT_TRUE(database.fetchRecord("T", on0[2], &out));
+    EXPECT_EQ(out.values[1].i, 7);
+    EXPECT_FALSE(database.fetchRecord("T", on0[3], &out));
+    EXPECT_FALSE(database.fetchRecord("T", on1[0], &out));
 }
 
 TEST(GroupCommitTest, AutoWindowResolvesFromEnv)
