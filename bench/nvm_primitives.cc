@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the substrate primitives:
- * NVM flush/fence, crash-consistent pnew allocation vs volatile new,
+ * NVM flush/fence and power cut, crash-consistent pnew allocation vs
+ * volatile new,
  * the §3.5 flush APIs, and undo-log transactions. These calibrate
  * the cost model behind the figure benchmarks.
  */
@@ -10,6 +11,7 @@
 
 #include "collections/pbox.hh"
 #include "core/espresso.hh"
+#include "util/rng.hh"
 
 using namespace espresso;
 
@@ -50,6 +52,37 @@ BM_NvmFlushFence(benchmark::State &state)
         dev.base()[off % (1u << 20)] = 1;
         dev.persist(dev.toAddr(off % (1u << 20)), 8);
         off += 64;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/**
+ * One power cut of a device whose every page was written once, with
+ * 16 lines written since the previous cut. Args: device MiB, then
+ * crash mode (0 discard unflushed, 1 evict random lines).
+ */
+void
+BM_NvmCrash(benchmark::State &state)
+{
+    const std::size_t size = static_cast<std::size_t>(state.range(0)) << 20;
+    const CrashMode mode = state.range(1) ? CrashMode::kEvictRandomLines
+                                          : CrashMode::kDiscardUnflushed;
+    NvmDevice dev(size);
+    for (std::size_t off = 0; off < size; off += 4096)
+        dev.base()[off] = 1;
+    dev.shutdownClean();
+    Rng rng(1);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        for (int i = 0; i < 16; ++i) {
+            std::size_t line = rng.nextBelow(size / kCacheLineSize);
+            dev.base()[line * kCacheLineSize] += 1;
+        }
+        state.ResumeTiming();
+        dev.crash(mode, ++seed);
+        benchmark::DoNotOptimize(dev.base());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -106,6 +139,7 @@ BM_UndoLogTransaction(benchmark::State &state)
 }
 
 BENCHMARK(BM_NvmFlushFence);
+BENCHMARK(BM_NvmCrash)->ArgsProduct({{1, 64, 256}, {0, 1}});
 BENCHMARK(BM_VolatileNew);
 BENCHMARK(BM_PersistentPnew);
 BENCHMARK(BM_FlushField);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "heap/old_gc.hh"
 #include "heap/young_gc.hh"
@@ -9,12 +10,25 @@
 
 namespace espresso {
 
+namespace {
+
+std::uint8_t *
+zeroedBytes(std::size_t n)
+{
+    void *p = std::calloc(n, 1);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return static_cast<std::uint8_t *>(p);
+}
+
+} // namespace
+
 VolatileHeap::VolatileHeap(const VolatileHeapConfig &cfg)
     : cfg_(cfg),
-      storage_(cfg.edenSize + 2 * cfg.survivorSize + cfg.oldSize +
-               kWordSize, 0)
+      storage_(zeroedBytes(cfg.edenSize + 2 * cfg.survivorSize +
+                           cfg.oldSize + kWordSize))
 {
-    Addr base = reinterpret_cast<Addr>(storage_.data());
+    Addr base = reinterpret_cast<Addr>(storage_.get());
     base = alignUp(base, kWordSize);
 
     edenBase_ = edenTop_ = base;

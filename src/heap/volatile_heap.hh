@@ -17,6 +17,7 @@
 #define ESPRESSO_HEAP_VOLATILE_HEAP_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -149,8 +150,16 @@ class VolatileHeap
     Addr allocInOld(std::size_t size);
     void visitAllRootSlots(const SlotVisitor &visitor);
 
+    struct FreeBytes
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
     VolatileHeapConfig cfg_;
-    std::vector<std::uint8_t> storage_;
+    /** Zeroed by calloc, which leaves memory the kernel hands out
+     * already zeroed untouched: a new heap's pages fault in on first
+     * use, not all at construction. */
+    std::unique_ptr<std::uint8_t[], FreeBytes> storage_;
 
     Addr edenBase_, edenTop_, edenLimit_;
     Addr fromBase_, fromTop_, fromLimit_;

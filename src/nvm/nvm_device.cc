@@ -1,5 +1,11 @@
 #include "nvm/nvm_device.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -17,14 +23,47 @@ namespace {
 
 std::atomic<std::uint64_t> g_deviceSerial{1};
 
-std::uint8_t *
-zeroedBytes(std::size_t n)
+std::size_t
+pageSize()
 {
-    void *p = std::calloc(n, 1);
-    if (p == nullptr && n != 0)
-        throw std::bad_alloc();
-    return static_cast<std::uint8_t *>(p);
+    static const std::size_t size = ::sysconf(_SC_PAGESIZE);
+    return size;
 }
+
+/**
+ * This process's page table, one 64-bit entry per virtual page.
+ * Opened per use: the path names the opening process, so a
+ * descriptor kept across a fork would read the parent's pages.
+ */
+class Pagemap
+{
+  public:
+    Pagemap() : fd_(::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC))
+    {
+        if (fd_ < 0)
+            fatal(std::string("NvmDevice: cannot open /proc/self/pagemap: ") +
+                  std::strerror(errno));
+    }
+    ~Pagemap() { ::close(fd_); }
+    Pagemap(const Pagemap &) = delete;
+    Pagemap &operator=(const Pagemap &) = delete;
+
+    /** Read the entries of up to @p n pages from virtual page
+     * @p first on into @p out; returns how many were read. */
+    std::size_t
+    read(std::uint64_t *out, std::size_t first, std::size_t n) const
+    {
+        ssize_t got = ::pread(fd_, out, n * sizeof(*out),
+                              static_cast<off_t>(first * sizeof(*out)));
+        if (got <= 0)
+            fatal(std::string("NvmDevice: reading /proc/self/pagemap: ") +
+                  (got < 0 ? std::strerror(errno) : "end of file"));
+        return static_cast<std::size_t>(got) / sizeof(*out);
+    }
+
+  private:
+    int fd_;
+};
 
 void
 yieldFor(std::uint64_t ns)
@@ -65,12 +104,40 @@ spinFor(std::uint64_t ns)
 } // namespace
 
 NvmDevice::NvmDevice(std::size_t size, NvmConfig cfg)
-    : size_(alignUp(size, kCacheLineSize)), cfg_(cfg),
-      working_(zeroedBytes(size_)), durable_(zeroedBytes(size_)),
+    : size_(alignUp(size, kCacheLineSize)),
+      mapSize_(alignUp(size_, pageSize())), cfg_(cfg),
       serial_(g_deviceSerial.fetch_add(1, std::memory_order_relaxed))
 {
     if (size == 0)
         fatal("NvmDevice: zero-sized device");
+    Pagemap(); // opened and closed: fail here, not at the first cut
+    int fd = ::memfd_create("espresso-nvm", MFD_CLOEXEC);
+    if (fd < 0)
+        fatal(std::string("NvmDevice: memfd_create: ") + std::strerror(errno));
+    if (::ftruncate(fd, static_cast<off_t>(mapSize_)) != 0) {
+        ::close(fd);
+        throw std::bad_alloc();
+    }
+    void *durable = ::mmap(nullptr, mapSize_, PROT_READ | PROT_WRITE,
+                           MAP_SHARED, fd, 0);
+    void *working = ::mmap(nullptr, mapSize_, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE, fd, 0);
+    ::close(fd); // the mappings hold the file
+    if (durable == MAP_FAILED || working == MAP_FAILED) {
+        if (durable != MAP_FAILED)
+            ::munmap(durable, mapSize_);
+        if (working != MAP_FAILED)
+            ::munmap(working, mapSize_);
+        throw std::bad_alloc();
+    }
+    durable_ = static_cast<std::uint8_t *>(durable);
+    working_ = static_cast<std::uint8_t *>(working);
+}
+
+NvmDevice::~NvmDevice()
+{
+    ::munmap(working_, mapSize_);
+    ::munmap(durable_, mapSize_);
 }
 
 NvmDevice::StagingShard &
@@ -161,34 +228,85 @@ NvmDevice::fence()
 void
 NvmDevice::commitLine(std::size_t line_off)
 {
-    std::memcpy(durable_.get() + line_off, working_.get() + line_off,
-                kCacheLineSize);
+    std::memcpy(durable_ + line_off, working_ + line_off, kCacheLineSize);
+}
+
+std::vector<std::pair<std::size_t, std::size_t>>
+NvmDevice::writtenRuns() const
+{
+    // A written page holds a private copy: present and not backed by
+    // the file, or swapped out (only a private copy can be).
+    constexpr std::uint64_t kPresent = 1ull << 63;
+    constexpr std::uint64_t kSwapped = 1ull << 62;
+    constexpr std::uint64_t kFilePage = 1ull << 61;
+    const std::size_t page = pageSize();
+    const std::size_t pages = mapSize_ / page;
+    const std::size_t firstPage =
+        reinterpret_cast<std::uintptr_t>(working_) / page;
+
+    std::vector<std::pair<std::size_t, std::size_t>> runs;
+    std::array<std::uint64_t, 1024> entries{};
+    Pagemap pagemap;
+    for (std::size_t p = 0; p < pages;) {
+        std::size_t got = pagemap.read(entries.data(), firstPage + p,
+                                       std::min(entries.size(), pages - p));
+        for (std::size_t i = 0; i < got; ++i, ++p) {
+            std::uint64_t e = entries[i];
+            bool written =
+                (e & kSwapped) || ((e & kPresent) && !(e & kFilePage));
+            if (!written)
+                continue;
+            std::size_t off = p * page;
+            if (!runs.empty() && runs.back().second == off)
+                runs.back().second = off + page;
+            else
+                runs.emplace_back(off, off + page);
+        }
+    }
+    return runs;
+}
+
+void
+NvmDevice::dropWorking(std::size_t begin, std::size_t end)
+{
+    if (::madvise(working_ + begin, end - begin, MADV_DONTNEED) != 0)
+        panic(std::string("NvmDevice: madvise: ") + std::strerror(errno));
 }
 
 void
 NvmDevice::crash(CrashMode mode, std::uint64_t seed)
 {
     clearAllShards();
-    if (mode == CrashMode::kEvictRandomLines) {
-        // Each dirty-but-unfenced line may have been evicted to the
-        // DIMM before power was lost.
-        Rng rng(seed);
-        for (std::size_t line = 0; line < size_; line += kCacheLineSize) {
-            if (std::memcmp(working_.get() + line, durable_.get() + line,
-                            kCacheLineSize) != 0 &&
-                rng.nextBool()) {
-                commitLine(line);
+    // Only a written page can differ from the durable image, and the
+    // pages come in address order, so each differing line draws its
+    // coin in the order a scan of the whole image would: a seed
+    // always yields the same survivors.
+    Rng rng(seed);
+    for (auto [begin, end] : writtenRuns()) {
+        if (mode == CrashMode::kEvictRandomLines) {
+            // Each dirty-but-unfenced line may have been evicted to
+            // the DIMM before power was lost.
+            for (std::size_t line = begin; line < std::min(end, size_);
+                 line += kCacheLineSize) {
+                if (std::memcmp(working_ + line, durable_ + line,
+                                kCacheLineSize) != 0 &&
+                    rng.nextBool()) {
+                    commitLine(line);
+                }
             }
         }
+        dropWorking(begin, end);
     }
-    std::memcpy(working_.get(), durable_.get(), size_);
 }
 
 void
 NvmDevice::shutdownClean()
 {
     clearAllShards();
-    std::memcpy(durable_.get(), working_.get(), size_);
+    for (auto [begin, end] : writtenRuns()) {
+        std::memcpy(durable_ + begin, working_ + begin, end - begin);
+        dropWorking(begin, end);
+    }
 }
 
 void
@@ -197,7 +315,7 @@ NvmDevice::saveDurable(const std::string &path) const
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         fatal("NvmDevice: cannot open " + path + " for writing");
-    out.write(reinterpret_cast<const char *>(durable_.get()),
+    out.write(reinterpret_cast<const char *>(durable_),
               static_cast<std::streamsize>(size_));
     if (!out)
         fatal("NvmDevice: short write to " + path);
@@ -209,12 +327,12 @@ NvmDevice::loadDurable(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("NvmDevice: cannot open " + path + " for reading");
-    in.read(reinterpret_cast<char *>(durable_.get()),
+    in.read(reinterpret_cast<char *>(durable_),
             static_cast<std::streamsize>(size_));
     if (in.gcount() != static_cast<std::streamsize>(size_))
         fatal("NvmDevice: short read from " + path);
     clearAllShards();
-    std::memcpy(working_.get(), durable_.get(), size_);
+    dropWorking(0, mapSize_);
 }
 
 } // namespace espresso

@@ -7,9 +7,24 @@
  * separate @e durable image. `flush(addr, len)` stages the covered
  * cache lines (clwb/clflush); `fence()` copies every staged line from
  * the working image into the durable image (sfence draining the write
- * pipeline to the DIMM). On a crash, the working image is rebuilt
- * from the durable image — optionally keeping a seeded random subset
- * of unflushed dirty lines to model uncontrolled cache eviction.
+ * pipeline to the DIMM). On a crash, the working image reverts to the
+ * durable image — optionally keeping a seeded random subset of
+ * unflushed dirty lines to model uncontrolled cache eviction.
+ *
+ * Both images are mappings of one memfd: the durable image a
+ * MAP_SHARED view, the working image a MAP_PRIVATE copy-on-write
+ * view. A working page nobody has written since the last power cut
+ * is the durable page itself; the first store to it gives it a
+ * private copy, which the kernel's page table records
+ * (`/proc/self/pagemap` shows it present and not file-backed, or
+ * swapped out). A power cut reads one pagemap entry per page, visits
+ * only the written pages (in eviction mode it compares their lines
+ * in address order), and drops them (MADV_DONTNEED) so they refault
+ * from the durable image: it costs the scan plus O(pages written),
+ * not a copy of the whole image, and the next store to a dropped
+ * page pays one copy-on-write fault. This needs Linux
+ * (`memfd_create` and a readable `/proc/self/pagemap`); a device
+ * fails to construct without them.
  *
  * This reproduces the failure semantics the paper's §4 protocols are
  * designed against, on commodity DRAM (the paper itself ran on a
@@ -25,10 +40,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nvm/crash_injector.hh"
@@ -108,6 +123,7 @@ class NvmDevice
      * @param cfg latency/behaviour knobs.
      */
     explicit NvmDevice(std::size_t size, NvmConfig cfg = {});
+    ~NvmDevice();
 
     NvmDevice(const NvmDevice &) = delete;
     NvmDevice &operator=(const NvmDevice &) = delete;
@@ -117,28 +133,28 @@ class NvmDevice
     NvmConfig &config() { return cfg_; }
 
     /** Base of the working image; all managed addresses point here. */
-    std::uint8_t *base() { return working_.get(); }
-    const std::uint8_t *base() const { return working_.get(); }
+    std::uint8_t *base() { return working_; }
+    const std::uint8_t *base() const { return working_; }
 
     /** Address of byte offset @p off in the working image. */
     Addr
     toAddr(std::size_t off) const
     {
-        return reinterpret_cast<Addr>(working_.get()) + off;
+        return reinterpret_cast<Addr>(working_) + off;
     }
 
     /** Offset of working-image address @p a. */
     std::size_t
     toOffset(Addr a) const
     {
-        return a - reinterpret_cast<Addr>(working_.get());
+        return a - reinterpret_cast<Addr>(working_);
     }
 
     /** True if @p a points into this device's working image. */
     bool
     contains(Addr a) const
     {
-        Addr b = reinterpret_cast<Addr>(working_.get());
+        Addr b = reinterpret_cast<Addr>(working_);
         return a >= b && a < b + size_;
     }
 
@@ -163,7 +179,8 @@ class NvmDevice
     }
 
     /** Simulate a power failure; the working image becomes whatever
-     * survived, and all staged-but-unfenced state is dropped. */
+     * survived, and all staged-but-unfenced state is dropped. Costs
+     * O(pages written since the last cut), plus a pagemap scan. */
     void crash(CrashMode mode = CrashMode::kDiscardUnflushed,
                std::uint64_t seed = 1);
 
@@ -201,6 +218,14 @@ class NvmDevice
 
     void commitLine(std::size_t line_off);
 
+    /** Page-aligned [begin, end) offset runs of the working pages
+     * written since they were last dropped, in ascending order. */
+    std::vector<std::pair<std::size_t, std::size_t>> writtenRuns() const;
+
+    /** Discard the working image's private copies of [begin, end):
+     * those pages read the durable image again. */
+    void dropWorking(std::size_t begin, std::size_t end);
+
     /** The calling thread's shard for this device (registered on
      * first use). */
     StagingShard &localShard();
@@ -209,19 +234,16 @@ class NvmDevice
      * image load — callers are quiesced by contract). */
     void clearAllShards();
 
-    struct FreeBytes
-    {
-        void operator()(std::uint8_t *p) const { std::free(p); }
-    };
-    using Image = std::unique_ptr<std::uint8_t[], FreeBytes>;
-
     std::size_t size_;
+    /** size_ rounded up to whole pages: the memfd and both mappings. */
+    std::size_t mapSize_;
     NvmConfig cfg_;
-    /** Zeroed by calloc, which leaves memory the kernel hands out
-     * already zeroed untouched: a new device's pages fault in on
-     * first use, not all at construction. */
-    Image working_;
-    Image durable_;
+    /** MAP_PRIVATE view of the memfd. A sparse memfd reads as zeros,
+     * so a new device's pages fault in on first use, not all at
+     * construction. */
+    std::uint8_t *working_ = nullptr;
+    /** MAP_SHARED view of the same memfd. */
+    std::uint8_t *durable_ = nullptr;
     /** Device identity for the thread-local shard cache; never
      * reused across devices. */
     std::uint64_t serial_;
