@@ -1,5 +1,7 @@
 #include "pjh/pjh_heap.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -100,6 +102,89 @@ guardDepthClaim(const void *h)
         }
     }
     panic("PJH: guard sections nested across too many heaps");
+}
+
+/**
+ * Header validation for heap walks: the Klass segment, the remap
+ * delta (stored addresses + delta = current ones; 0 once attached)
+ * and the limit no object may reach past.
+ */
+struct ObjectParser
+{
+    Addr segBase;
+    std::size_t segSize;
+    std::ptrdiff_t delta;
+    Addr limit;
+
+    /** Footprint of the object at @p a, or 0 when it does not parse:
+     * a bad header, or a size of 0 or one reaching past limit. */
+    std::size_t
+    sizeAt(Addr a) const
+    {
+        const std::size_t room = a < limit ? limit - a : 0;
+        Oop o(a);
+        if (room < ObjectLayout::kHeaderSize ||
+            !pjhRawHeaderValid(o, segBase, segSize, delta))
+            return 0;
+        // Bound an array's length before its size is computed, so a
+        // garbage one cannot wrap into a small size.
+        const KlassImage *img = pjhRawImage(o, delta);
+        if (img->isArray() &&
+            (room < ObjectLayout::kArrayHeaderSize ||
+             o.arrayLength() > (room - ObjectLayout::kArrayHeaderSize) /
+                                   elementSize(img->elemType())))
+            return 0;
+        std::size_t size = pjhRawObjectSize(o, delta);
+        return size <= room ? size : 0;
+    }
+};
+
+/** Where a walk stopped: the first object boundary at or past its
+ * stop address, or (parsed false) the object that did not parse. */
+struct WalkEnd
+{
+    Addr at = kNullAddr;
+    bool parsed = false;
+};
+
+/**
+ * The heap loop: from @p a, a proven or guessed object start, call
+ * @p fn on each object up to the first boundary at or past @p stop.
+ * An object's size is read before @p fn runs, so @p fn may rewrite
+ * its header.
+ */
+template <typename Fn>
+WalkEnd
+walkObjects(const ObjectParser &p, Addr a, Addr stop, Fn &&fn)
+{
+    while (a < stop) {
+        std::size_t size = p.sizeAt(a);
+        if (size == 0)
+            return {a, false};
+        fn(Oop(a));
+        a += size;
+    }
+    return {a, true};
+}
+
+/** One range of a zeroing load's walk, as a worker left it. */
+struct RangeScan
+{
+    Addr start = kNullAddr; ///< guessed first object; kNullAddr: none
+    WalkEnd end;
+    std::vector<Addr> slots; ///< out-of-heap reference slots, ascending
+};
+
+/** CPUs the calling thread may run on; threads it starts inherit
+ * the mask. */
+unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0)
+        return 1;
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
 }
 
 } // namespace
@@ -795,17 +880,16 @@ PjhHeap::storeRefElement(Oop obj, std::uint64_t index, Oop value)
 void
 PjhHeap::forEachObject(const std::function<void(Oop)> &fn) const
 {
-    Addr a = dataBase_;
-    Addr top = dataTop();
-    while (a < top) {
-        Oop o(a);
-        if (!pjhRawHeaderValid(o, klasses_.base(), klasses_.size()))
-            panic("PJH walk: unparseable object (missing tail repair?)");
+    // The one-range case of zeroingScan's walk.
+    const Addr top = dataTop();
+    const ObjectParser p{klasses_.base(), klasses_.size(), 0, top};
+    WalkEnd end = walkObjects(p, dataBase_, top, [&](Oop o) {
         Addr img = o.klassImage();
         if (img != fillerInstanceImage_ && img != fillerArrayImage_)
             fn(o);
-        a += pjhRawObjectSize(o);
-    }
+    });
+    if (!end.parsed)
+        panic("PJH walk: unparseable object (missing tail repair?)");
 }
 
 void
@@ -877,18 +961,10 @@ PjhHeap::repairAllocationTail(std::ptrdiff_t delta)
             !isAligned(e, kWordSize))
             continue;
         Addr end = dataBase_ + e;
-        for (Addr a = dataBase_ + s; a < end;) {
-            Oop o(a);
-            std::size_t size =
-                pjhRawHeaderValid(o, klasses_.base(), klasses_.size(), delta)
-                    ? pjhRawObjectSize(o, delta)
-                    : 0;
-            if (size == 0 || size > end - a) {
-                plugFillerGap(a, end, delta);
-                break;
-            }
-            a += size;
-        }
+        const ObjectParser p{klasses_.base(), klasses_.size(), delta, end};
+        WalkEnd torn = walkObjects(p, dataBase_ + s, end, [](Oop) {});
+        if (!torn.parsed)
+            plugFillerGap(torn.at, end, delta);
     }
 }
 
@@ -902,13 +978,9 @@ PjhHeap::rebase(std::ptrdiff_t delta)
         return v >= stored_dev_base && v < stored_dev_base + dev_size;
     };
 
-    Addr a = dataBase_;
-    Addr top = top_.load(std::memory_order_relaxed);
-    while (a < top) {
-        Oop o(a);
-        if (!pjhRawHeaderValid(o, klasses_.base(), klasses_.size(), delta))
-            panic("rebase: unparseable heap");
-        std::size_t size = pjhRawObjectSize(o, delta);
+    const Addr top = top_.load(std::memory_order_relaxed);
+    const ObjectParser p{klasses_.base(), klasses_.size(), delta, top};
+    WalkEnd end = walkObjects(p, dataBase_, top, [&](Oop o) {
         // Read the layout through the stored klass word before
         // rewriting it.
         pjhRawForEachRefSlotWithDelta(o, delta, [&](Addr slot) {
@@ -917,8 +989,9 @@ PjhHeap::rebase(std::ptrdiff_t delta)
                 storeWord(slot, v + static_cast<Addr>(delta));
         });
         o.setKlassRefRaw(o.klassRefRaw() + static_cast<Word>(delta));
-        a += size;
-    }
+    });
+    if (!end.parsed)
+        panic("rebase: unparseable heap");
 
     // Root entries hold absolute data-heap addresses.
     names_.forEach([&](NameEntry &e) {
@@ -938,17 +1011,83 @@ PjhHeap::rebase(std::ptrdiff_t delta)
 void
 PjhHeap::zeroingScan()
 {
-    bool dirty = false;
-    forEachObject([&](Oop o) {
-        pjhRawForEachRefSlot(o, [&](Addr slot) {
-            Addr v = loadWord(slot);
-            if (v != kNullAddr && !containsData(v)) {
-                storeWord(slot, kNullAddr);
-                dev_->flush(slot, kWordSize);
-                dirty = true;
+    const Addr top = dataTop();
+    const ObjectParser p{klasses_.base(), klasses_.size(), 0, top};
+    const std::size_t n =
+        (top - dataBase_ + kZeroingRangeBytes - 1) / kZeroingRangeBytes;
+    auto cut = [&](std::size_t i) {
+        return i >= n ? top : dataBase_ + i * kZeroingRangeBytes;
+    };
+    auto collect = [this](std::vector<Addr> &out) {
+        return [this, &out](Oop o) {
+            pjhRawForEachRefSlot(o, [&](Addr slot) {
+                Addr v = loadWord(slot);
+                if (v != kNullAddr && !containsData(v))
+                    out.push_back(slot);
+            });
+        };
+    };
+
+    // Speculate. Workers only read; a range whose walk throws is left
+    // unscanned, and the proof below re-walks it on this thread.
+    std::vector<RangeScan> scans(n);
+    std::atomic<std::size_t> next{0};
+    auto speculate = [&] {
+        for (std::size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+            RangeScan &r = scans[i];
+            try {
+                Addr a = cut(i);
+                while (i > 0 && a < cut(i + 1) && p.sizeAt(a) == 0)
+                    a += kWordSize;
+                if (a >= cut(i + 1))
+                    continue;
+                r.start = a;
+                r.end = walkObjects(p, a, cut(i + 1), collect(r.slots));
+            } catch (...) {
+                r.start = kNullAddr;
+                r.slots.clear();
             }
-        });
-    });
+        }
+    };
+    {
+        // This thread walks too, so a helper that is slow to start
+        // delays nothing: it finds fewer ranges left. The helpers
+        // join at the end of the block.
+        const std::size_t threads = std::min<std::size_t>(usableCpus(), n);
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(speculate);
+        speculate();
+    }
+
+    // Prove: each range must begin exactly where the walk before it
+    // ended.
+    Addr proven = dataBase_;
+    for (std::size_t i = 0; i < n; ++i) {
+        RangeScan &r = scans[i];
+        if (proven >= cut(i + 1)) {
+            r.slots.clear(); // an object spans the whole range
+            continue;
+        }
+        if (r.start != proven) {
+            r.slots.clear();
+            r.end = walkObjects(p, proven, cut(i + 1), collect(r.slots));
+        }
+        if (!r.end.parsed)
+            panic("PJH zeroing: unparseable object (missing tail repair?)");
+        proven = r.end.at;
+    }
+
+    // Write, on this thread and in address order.
+    bool dirty = false;
+    for (const RangeScan &r : scans) {
+        for (Addr slot : r.slots) {
+            storeWord(slot, kNullAddr);
+            dev_->flush(slot, kWordSize);
+            dirty = true;
+        }
+    }
     names_.forEach([&](NameEntry &e) {
         if (e.kind == static_cast<Word>(NameKind::kRoot) &&
             e.value != kNullAddr && !containsData(e.value)) {

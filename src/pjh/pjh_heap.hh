@@ -53,7 +53,9 @@ enum class SafetyLevel
     kUserGuaranteed,
 
     /** Loading scans the whole heap and nullifies out-pointers;
-     * stale accesses become null dereferences. O(#objects). */
+     * stale accesses become null dereferences. O(#objects), walked
+     * by the loading thread and helper threads made for the load
+     * (see zeroingScan); the writes stay on the loading thread. */
     kZeroing,
 
     /** Stores of non-persistent references into persistentOnly
@@ -234,8 +236,14 @@ class PjhHeap : public ExternalSpace
     /// @}
 
     /** Walk every live-or-dead user object in allocation order.
-     * Filler objects (TLAB tails, repaired gaps) are skipped. */
+     * Filler objects (TLAB tails, repaired gaps) are skipped. Panics
+     * on an object that does not parse: a bad header, or a size of 0
+     * or one reaching past the top. */
     void forEachObject(const std::function<void(Oop)> &fn) const;
+
+    /** Heap bytes per range of a zeroing load's parallel walk (see
+     * zeroingScan). */
+    static constexpr std::size_t kZeroingRangeBytes = 1u << 20;
 
     /** Walk every reference slot of every object. */
     void forEachRefSlot(const std::function<void(Addr)> &fn) const;
@@ -546,6 +554,27 @@ class PjhHeap : public ExternalSpace
     /// @}
 
     void rebase(std::ptrdiff_t delta);
+
+    /**
+     * Zeroing safety (§3.4): null every reference slot and root
+     * holding a non-null address outside the data heap.
+     *
+     * Speculate, prove, then write. [dataBase_, top) is cut into
+     * kZeroingRangeBytes ranges by bytes alone, which this thread
+     * walks with helper threads made for this call (at most one
+     * thread per CPU the caller may run on; the helpers are joined
+     * before it returns). Each later range starts at the first word
+     * past its cut whose header parses — a guess, since a payload
+     * word can look like a header. The walk only reads: it collects
+     * each range's out-of-heap slots and the first object boundary
+     * past the range's end. The caller then chains from
+     * dataBase_: a range whose start equals the previous range's end
+     * is proven, a wrong guess is re-walked serially from that end,
+     * and an object that does not parse inside a proven range
+     * panics. Only then does it null and flush the collected slots
+     * and the roots on its own thread in address order, fencing once
+     * if it nulled anything — the persist sequence of a serial scan.
+     */
     void zeroingScan();
     void checkRefStore(Oop obj, Oop value) const;
 
