@@ -117,7 +117,6 @@ runYcsbA(unsigned shards, int ops_per_thread)
     cfg.shard.rowRegionSize = 4u << 20;
     cfg.shard.rowsPerTable = records;
     cfg.shard.walShards = 16;
-    cfg.shard.groupCommitWindowUs = 0;
     db::ShardedDatabase database(cfg, drainBoundNvm());
 
     db::TableSchema schema;
@@ -197,7 +196,6 @@ runGrowUnderLoad(int ops_per_thread)
     cfg.shard.rowRegionSize = 4u << 20;
     cfg.shard.rowsPerTable = records;
     cfg.shard.walShards = 16;
-    cfg.shard.groupCommitWindowUs = 0;
     db::ShardedDatabase database(cfg, drainBoundNvm());
 
     db::TableSchema schema;

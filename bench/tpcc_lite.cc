@@ -24,14 +24,14 @@
  * (ESPRESSO_SHARDS members, default 1, pk-partitioned through the
  * consistent-hash router); cross-shard transactions commit through
  * the two-phase coordinator (per-member prepare fences + one durable
- * decision record), single-member ones keep the eager/group path.
+ * decision record), single-member ones commit eagerly.
  *
  * ESPRESSO_TPCC_REMOTE_PCT (default 0): percent of NewOrder stock
  * lines supplied by a *remote* warehouse (TPC-C's remote-order-line
  * knob, classically 1%). With several shards a nonzero value makes
  * that fraction of NewOrders cross-shard, exercising 2PC. Reports
  * txn/s, p99 NewOrder commit latency, and fences/txn (the 2PC fence
- * cost vs the single-member eager/group paths) per thread count.
+ * cost vs the single-member eager path) per thread count.
  */
 
 #include <algorithm>
@@ -324,14 +324,12 @@ payment(ShardedDatabase &db, RmwLocks &locks, Rng &rng)
 }
 
 RunResult
-runOnce(int threads, std::uint64_t window_us, int ops,
-        unsigned remote_pct)
+runOnce(int threads, int ops, unsigned remote_pct)
 {
     ShardedDatabaseConfig cfg;
     cfg.shard.rowRegionSize = 32u << 20;
     cfg.shard.rowsPerTable = 8192;
     cfg.shard.walShards = 16;
-    cfg.shard.groupCommitWindowUs = window_us;
     NvmConfig nvm;
     nvm.fenceLatencyNs = 25000;
     nvm.fenceWaitYields = true;
@@ -431,24 +429,18 @@ main()
             "cross-shard NewOrders commit via 2PC)");
 
     bench::JsonReport json("tpcc_lite");
-    std::printf("%8s %7s %10s %16s %11s\n", "threads", "commit",
-                "txn/s", "p99 NewOrder(us)", "fences/txn");
+    std::printf("%8s %10s %16s %11s\n", "threads", "txn/s",
+                "p99 NewOrder(us)", "fences/txn");
     for (int threads : {1, 2, 4}) {
-        for (std::uint64_t window : {0ull, 100ull}) {
-            RunResult r = runOnce(threads, window, ops, remote_pct);
-            std::printf("%8d %7s %10.0f %16.1f %11.1f\n", threads,
-                        window ? "group" : "eager", r.txns, r.p99Us,
-                        r.fencesPerTxn);
-            json.beginRow()
-                .field("threads", static_cast<std::uint64_t>(threads))
-                .field("commit",
-                       std::string(window ? "group" : "eager"))
-                .field("remote_pct",
-                       static_cast<std::uint64_t>(remote_pct))
-                .field("txn_per_s", r.txns)
-                .field("p99_neworder_us", r.p99Us)
-                .field("fences_per_txn", r.fencesPerTxn);
-        }
+        RunResult r = runOnce(threads, ops, remote_pct);
+        std::printf("%8d %10.0f %16.1f %11.1f\n", threads, r.txns,
+                    r.p99Us, r.fencesPerTxn);
+        json.beginRow()
+            .field("threads", static_cast<std::uint64_t>(threads))
+            .field("remote_pct", static_cast<std::uint64_t>(remote_pct))
+            .field("txn_per_s", r.txns)
+            .field("p99_neworder_us", r.p99Us)
+            .field("fences_per_txn", r.fencesPerTxn);
     }
     json.write();
     return 0;

@@ -142,7 +142,6 @@ struct Fixture
         cfg.shard.rowRegionSize = 32u << 20;
         cfg.shard.rowsPerTable = 8192;
         cfg.shard.walShards = wal_shards;
-        cfg.shard.groupCommitWindowUs = DatabaseConfig::kWindowAuto;
         NvmConfig nvm;
         nvm.fenceLatencyNs = fence_ns;
         nvm.fenceWaitYields = true;

@@ -3,7 +3,7 @@
  * YCSB-lite: the classic A/B/C mixes driven through the transaction
  * engine's direct (DBPersistable) path over one persistent_kv-style
  * table, reporting transaction throughput and p99 update-commit
- * latency per thread count, eager vs group commit.
+ * latency per thread count.
  *
  *  - A: 50% reads / 50% single-row update transactions
  *  - B: 95% reads /  5% updates
@@ -14,8 +14,8 @@
  * drain latency and yielding fence waits, so concurrent transactions
  * overlap their persistence stalls the way they would across real
  * cores — the scaling column is the point: workload A at 4 threads
- * should clear 2x the 1-thread eager baseline, with group commit
- * batching the drain fences of concurrent committers.
+ * should clear 2x the 1-thread baseline. Every commit here is a sync
+ * commit, which commits eagerly on its own thread (two fences).
  */
 
 #include <algorithm>
@@ -57,21 +57,17 @@ struct RunResult
 {
     double ktxns = 0;  ///< thousand txns per second
     double p99Us = 0;  ///< p99 update-commit latency, microseconds
-    std::uint64_t batches = 0;
-    std::uint64_t maxBatch = 0;
-    std::uint64_t timeouts = 0;
     double fencesPerUpdate = 0; ///< persistence-drain economy
 };
 
 RunResult
-runOnce(const Mix &mix, int threads, std::uint64_t window_us, int ops)
+runOnce(const Mix &mix, int threads, int ops)
 {
     const std::int64_t records = recordCount(ops);
     DatabaseConfig cfg;
     cfg.rowRegionSize = 4u << 20;
     cfg.rowsPerTable = records;
     cfg.walShards = 16;
-    cfg.groupCommitWindowUs = window_us;
     NvmConfig nvm;
     nvm.fenceLatencyNs = 25000; // one modeled NVDIMM write drain
     nvm.fenceWaitYields = true;
@@ -139,10 +135,6 @@ runOnce(const Mix &mix, int threads, std::uint64_t window_us, int ops)
         std::sort(all.begin(), all.end());
         r.p99Us = all[all.size() * 99 / 100] / 1e3;
     }
-    CommitCoordinator::Stats cs = database.commitCoordinator().stats();
-    r.batches = cs.batches;
-    r.maxBatch = cs.maxBatch;
-    r.timeouts = cs.windowTimeouts;
     if (!all.empty()) {
         r.fencesPerUpdate =
             static_cast<double>(
@@ -166,35 +158,25 @@ main()
             std::to_string(std::thread::hardware_concurrency()) + ")");
 
     bench::JsonReport json("ycsb_lite");
-    std::printf("%4s %8s %7s %10s %10s %9s %10s %12s\n", "mix",
-                "threads", "commit", "ktxn/s", "p99(us)", "maxbatch",
-                "fences/up", "vs 1T-eager");
+    std::printf("%4s %8s %10s %10s %10s %9s\n", "mix", "threads",
+                "ktxn/s", "p99(us)", "fences/up", "vs 1T");
     for (const Mix &mix : kMixes) {
         double base = 0;
         for (int threads : {1, 2, 4, 8}) {
-            for (std::uint64_t window : {0ull, 100ull}) {
-                RunResult r = runOnce(mix, threads, window, ops);
-                if (threads == 1 && window == 0)
-                    base = r.ktxns;
-                double vs = base > 0 ? r.ktxns / base : 0.0;
-                std::printf(
-                    "%4s %8d %7s %10.1f %10.1f %9llu %10.2f %11.2fx\n",
-                    mix.name, threads, window ? "group" : "eager",
-                    r.ktxns, r.p99Us,
-                    static_cast<unsigned long long>(r.maxBatch),
-                    r.fencesPerUpdate, vs);
-                json.beginRow()
-                    .field("mix", std::string(mix.name))
-                    .field("threads",
-                           static_cast<std::uint64_t>(threads))
-                    .field("commit", std::string(window ? "group"
-                                                        : "eager"))
-                    .field("ktxn_per_s", r.ktxns)
-                    .field("p99_us", r.p99Us)
-                    .field("max_batch", r.maxBatch)
-                    .field("fences_per_update", r.fencesPerUpdate)
-                    .field("vs_1t_eager", vs);
-            }
+            RunResult r = runOnce(mix, threads, ops);
+            if (threads == 1)
+                base = r.ktxns;
+            double vs = base > 0 ? r.ktxns / base : 0.0;
+            std::printf("%4s %8d %10.1f %10.1f %10.2f %8.2fx\n",
+                        mix.name, threads, r.ktxns, r.p99Us,
+                        r.fencesPerUpdate, vs);
+            json.beginRow()
+                .field("mix", std::string(mix.name))
+                .field("threads", static_cast<std::uint64_t>(threads))
+                .field("ktxn_per_s", r.ktxns)
+                .field("p99_us", r.p99Us)
+                .field("fences_per_update", r.fencesPerUpdate)
+                .field("vs_1t", vs);
         }
         std::printf("\n");
     }

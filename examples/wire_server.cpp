@@ -6,9 +6,9 @@
  *   ./wire_server [port]
  *
  * Knobs: ESPRESSO_SHARDS (members), ESPRESSO_NET_WORKERS (event
- * loops), ESPRESSO_NET_QUEUE_DEPTH (per-worker admission),
- * ESPRESSO_DB_GROUP_COMMIT (fence coalescing window in µs, or
- * "auto" for natural group commit with no window). Pair with
+ * loops), ESPRESSO_NET_QUEUE_DEPTH (per-worker admission). Commits
+ * use natural group commit: no commit waits, and the commits that
+ * park while a drain fences share the next one. Pair with
  * bench/wire_bench as the load generator.
  */
 

@@ -1,7 +1,6 @@
 #include "db/database.hh"
 
 #include "nvm/crash_injector.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace espresso {
@@ -66,10 +65,6 @@ Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
                    SnapshotClock *shared_clock)
     : cfg_(cfg)
 {
-    if (cfg_.groupCommitWindowUs == DatabaseConfig::kWindowFromEnv)
-        cfg_.groupCommitWindowUs = envCountOrAuto(
-            "ESPRESSO_DB_GROUP_COMMIT", DatabaseConfig::kWindowAuto, 0);
-
     std::size_t catalog_off = alignUp(64, kCacheLineSize);
     std::size_t wal_off =
         catalog_off + alignUp(Catalog::persistedBytes(), kCacheLineSize);
@@ -92,12 +87,7 @@ Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
     rows_ = std::make_unique<RowStore>(
         dev_.get(), base + rowsOff_, cfg_.rowRegionSize, &catalog_,
         cfg_.rowsPerTable, ctrls_.get(), wal_->shardCount(), clock_);
-    std::uint64_t window_ns =
-        cfg_.groupCommitWindowUs == DatabaseConfig::kWindowAuto
-            ? CommitCoordinator::kAutoWindow
-            : cfg_.groupCommitWindowUs * 1000;
-    coordinator_ =
-        std::make_unique<CommitCoordinator>(dev_.get(), window_ns);
+    coordinator_ = std::make_unique<CommitCoordinator>(dev_.get());
 }
 
 Database::~Database() = default;
@@ -166,7 +156,6 @@ Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
                 std::memory_order_release);
 
     shard.begin();
-    coordinator_->txnBegan();
     return true;
 }
 
@@ -196,7 +185,6 @@ Database::endTxCommon(TxContext &ctx)
     // finishRollback): no new transaction reuses this token while
     // its markers are still being resolved away.
     wal_->shard(ctx.shardId).releaseTx();
-    coordinator_->txnEnded();
 }
 
 void

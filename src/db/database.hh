@@ -20,12 +20,15 @@
  * one undo-WAL shard (its token), its row write set and its
  * snapshot, so up to walShards transactions log concurrently. Write
  * locks are strict two-phase; a wait that closes a cycle aborts the
- * youngest transaction with StatusCode::kDeadlock. Commits drain
- * through the group-commit coordinator (batch window:
- * DatabaseConfig::groupCommitWindowUs, or the ESPRESSO_DB_GROUP_COMMIT
- * env var in microseconds; 0 = eager). An engine-side abort (WAL
- * full, deadlock, snapshot conflict, bounded-wait kBusy) rolls the
- * whole transaction back; the Txn's commit() reports why.
+ * youngest transaction with StatusCode::kDeadlock. Commits go
+ * through the group-commit coordinator, which has one discipline: a
+ * sync commit() commits eagerly on its own thread, and a
+ * commitAsync() parks for the drainer, which drains whatever is
+ * pending when it runs (natural group commit; no commit waits for
+ * arrivals). Sync commits stay eager because parking them behind a
+ * drain measured slower (see CommitCoordinator). An engine-side
+ * abort (WAL full, deadlock, snapshot conflict, bounded-wait kBusy)
+ * rolls the whole transaction back; the Txn's commit() reports why.
  *
  * Caller contracts: DDL (createTable / CREATE TABLE) and crash()
  * must not run concurrently with other statements.
@@ -66,20 +69,11 @@ struct DatabaseConfig
      * blocking each other (extra threads queue on a shard). */
     unsigned walShards = 8;
 
-    /** Resolve groupCommitWindowUs from ESPRESSO_DB_GROUP_COMMIT:
-     * "auto" or a count of microseconds (envCountOrAuto); anything
-     * else warns and commits eagerly. */
-    static constexpr std::uint64_t kWindowFromEnv = ~0ull;
-
-    /** Natural group commit (ESPRESSO_DB_GROUP_COMMIT=auto): no
-     * committer waits; async commits that park while a drain fences
-     * share the next one. Commits exactly as 0 does. See
-     * CommitCoordinator. */
+    /** Read by nothing; kept because espresso_bench names it. */
     static constexpr std::uint64_t kWindowAuto = ~0ull - 1;
 
-    /** Group-commit batch window in microseconds; 0 and kWindowAuto
-     * never wait. Defaults to the env knob, else 0. */
-    std::uint64_t groupCommitWindowUs = kWindowFromEnv;
+    /** Read by nothing; kept because espresso_bench sets it. */
+    std::uint64_t groupCommitWindowUs = 0;
 };
 
 /** Query result. */

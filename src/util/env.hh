@@ -8,11 +8,8 @@
 #define ESPRESSO_UTIL_ENV_HH
 
 #include <cctype>
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace espresso {
 
@@ -68,46 +65,6 @@ envFlag(const char *name, bool fallback)
                  "espresso: ignoring %s=\"%s\" (want 0 or 1); using %d\n",
                  name, s, fallback ? 1 : 0);
     return fallback;
-}
-
-/**
- * Parse @p name as "auto" (yields @p auto_value) or a count: decimal
- * digits only, 0 included, trailing whitespace tolerated. Unset is
- * @p fallback. Anything else ("100us", "abc", "-5") is rejected with
- * a one-line warning and yields @p fallback — a lenient parse would
- * read "100us" as 100 and "-5" as a huge count.
- */
-inline std::uint64_t
-envCountOrAuto(const char *name, std::uint64_t auto_value,
-               std::uint64_t fallback)
-{
-    const char *s = std::getenv(name);
-    if (!s)
-        return fallback;
-    if (std::strcmp(s, "auto") == 0)
-        return auto_value;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    // strtoull also takes leading space and a sign, and "-5" would
-    // wrap to a huge count: require a leading digit.
-    bool parsed =
-        std::isdigit(static_cast<unsigned char>(s[0])) && errno == 0;
-    while (parsed && *end != '\0') {
-        if (!std::isspace(static_cast<unsigned char>(*end))) {
-            parsed = false;
-            break;
-        }
-        ++end;
-    }
-    if (!parsed) {
-        std::fprintf(stderr,
-                     "espresso: ignoring %s=\"%s\" (want \"auto\" or a "
-                     "non-negative integer); using %llu\n",
-                     name, s, static_cast<unsigned long long>(fallback));
-        return fallback;
-    }
-    return v;
 }
 
 } // namespace espresso

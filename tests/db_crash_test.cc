@@ -18,6 +18,7 @@
 #include <functional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "db/database.hh"
 #include "db/sharded_database.hh"
@@ -135,13 +136,12 @@ constexpr int kKeysPerThread = 4;
 constexpr int kTxnsPerThread = 25;
 
 std::unique_ptr<Database>
-makeMtDb(std::uint64_t window_us)
+makeMtDb()
 {
     DatabaseConfig cfg;
     cfg.rowRegionSize = 4u << 20;
     cfg.rowsPerTable = 256;
     cfg.walShards = 8;
-    cfg.groupCommitWindowUs = window_us;
     auto db = std::make_unique<Database>(cfg);
     db->executeSql(
         "CREATE TABLE ACCT (ID BIGINT PRIMARY KEY, VAL BIGINT)");
@@ -199,7 +199,7 @@ runWorkload(Database &db, std::atomic<bool> *saw_unexpected)
 }
 
 void
-mtSweep(CrashMode mode, std::uint64_t window_us)
+mtSweep(CrashMode mode)
 {
     // Torn-tail rollback warnings are expected output here.
     setWarningsEnabled(false);
@@ -208,7 +208,7 @@ mtSweep(CrashMode mode, std::uint64_t window_us)
     CrashInjector probe;
     std::uint64_t total_events;
     {
-        auto db = makeMtDb(window_us);
+        auto db = makeMtDb();
         db->device().setInjector(&probe);
         probe.resetCount();
         std::atomic<bool> unexpected{false};
@@ -219,9 +219,9 @@ mtSweep(CrashMode mode, std::uint64_t window_us)
     }
     ASSERT_GT(total_events, 100u);
 
-    Rng rng(0x5EED5EEDull + static_cast<int>(mode) * 31 + window_us);
+    Rng rng(0x5EED5EEDull + static_cast<int>(mode) * 31);
     for (int trial = 0; trial < 6; ++trial) {
-        auto db = makeMtDb(window_us);
+        auto db = makeMtDb();
         CrashInjector inj;
         db->device().setInjector(&inj);
         std::uint64_t target = 1 + rng.nextBelow(total_events);
@@ -281,22 +281,12 @@ mtSweep(CrashMode mode, std::uint64_t window_us)
 
 TEST(DbCrashTest, MtTransactionSweepConservativeEager)
 {
-    mt::mtSweep(CrashMode::kDiscardUnflushed, 0);
-}
-
-TEST(DbCrashTest, MtTransactionSweepConservativeGroupCommit)
-{
-    mt::mtSweep(CrashMode::kDiscardUnflushed, 2000);
+    mt::mtSweep(CrashMode::kDiscardUnflushed);
 }
 
 TEST(DbCrashTest, MtTransactionSweepWithCacheEvictionEager)
 {
-    mt::mtSweep(CrashMode::kEvictRandomLines, 0);
-}
-
-TEST(DbCrashTest, MtTransactionSweepWithCacheEvictionGroupCommit)
-{
-    mt::mtSweep(CrashMode::kEvictRandomLines, 2000);
+    mt::mtSweep(CrashMode::kEvictRandomLines);
 }
 
 // ---------------------------------------------------------------------
@@ -344,15 +334,13 @@ pickKeys(ShardedDatabase &db)
 }
 
 std::unique_ptr<ShardedDatabase>
-makeSdb(std::uint64_t window_us,
-        const std::vector<std::int64_t> &keys)
+makeSdb(const std::vector<std::int64_t> &keys)
 {
     ShardedDatabaseConfig cfg;
     cfg.shards = kShards;
     cfg.shard.rowRegionSize = 2u << 20;
     cfg.shard.rowsPerTable = 256;
     cfg.shard.walShards = 4;
-    cfg.shard.groupCommitWindowUs = window_us;
     auto db = std::make_unique<ShardedDatabase>(cfg);
     db->createTable(TableSchema{"KV",
                                 {{"ID", DbType::kI64},
@@ -397,7 +385,7 @@ runRounds(ShardedDatabase &db, const std::vector<std::int64_t> &keys)
 }
 
 void
-twopcSweep(CrashMode mode, std::uint64_t window_us)
+twopcSweep(CrashMode mode)
 {
     setWarningsEnabled(false);
     // Dry run: count the workload's persistence events so crash
@@ -406,7 +394,7 @@ twopcSweep(CrashMode mode, std::uint64_t window_us)
     std::uint64_t total_events;
     std::vector<std::int64_t> keys;
     {
-        auto db = makeSdb(window_us, {});
+        auto db = makeSdb({});
         keys = pickKeys(*db);
         for (std::int64_t pk : keys)
             db->persistRecord("KV", kvRow(pk, 0));
@@ -422,9 +410,9 @@ twopcSweep(CrashMode mode, std::uint64_t window_us)
     }
     ASSERT_GT(total_events, 100u);
 
-    Rng rng(0x2BC57ull + static_cast<int>(mode) * 31 + window_us);
+    Rng rng(0x2BC57ull + static_cast<int>(mode) * 31);
     for (int trial = 0; trial < 10; ++trial) {
-        auto db = makeSdb(window_us, keys);
+        auto db = makeSdb(keys);
         CrashInjector inj;
         installInjector(*db, &inj);
         std::uint64_t target = 1 + rng.nextBelow(total_events);
@@ -488,7 +476,6 @@ makeElastic(unsigned shards)
     cfg.shard.rowRegionSize = 2u << 20;
     cfg.shard.rowsPerTable = 256;
     cfg.shard.walShards = 4;
-    cfg.shard.groupCommitWindowUs = 0;
     auto db = std::make_unique<ShardedDatabase>(cfg);
     db->createTable(TableSchema{"KV",
                                 {{"ID", DbType::kI64},
@@ -627,22 +614,12 @@ TEST(DbCrashTest, ElasticShrinkSweepWithCacheEviction)
 
 TEST(DbCrashTest, TwoPhaseCommitSweepConservativeEager)
 {
-    twopc::twopcSweep(CrashMode::kDiscardUnflushed, 0);
-}
-
-TEST(DbCrashTest, TwoPhaseCommitSweepConservativeGroupCommit)
-{
-    twopc::twopcSweep(CrashMode::kDiscardUnflushed, 2000);
+    twopc::twopcSweep(CrashMode::kDiscardUnflushed);
 }
 
 TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionEager)
 {
-    twopc::twopcSweep(CrashMode::kEvictRandomLines, 0);
-}
-
-TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionGroupCommit)
-{
-    twopc::twopcSweep(CrashMode::kEvictRandomLines, 2000);
+    twopc::twopcSweep(CrashMode::kEvictRandomLines);
 }
 
 // ---------------------------------------------------------------------
@@ -743,7 +720,6 @@ makePair(CrashInjector *inj)
     cfg.shard.rowRegionSize = 2u << 20;
     cfg.shard.rowsPerTable = 256;
     cfg.shard.walShards = 4;
-    cfg.shard.groupCommitWindowUs = 0;
     auto db = std::make_unique<ShardedDatabase>(cfg);
     db->createTable(TableSchema{"KV",
                                 {{"ID", DbType::kI64},
@@ -816,8 +792,11 @@ TEST(DbCrashTest, TxnInScopeTwoPhaseCommitSweepWithCacheEviction)
 // sends pipelined Txn::commitAsync commits, each writing its own two
 // rows, without waiting for earlier callbacks; the group-commit
 // drainer stages and fences them, so the power fails on the drainer
-// thread as well as on the committing one. A commit whose callback reported
-// ok must survive; every other commit is whole or absent.
+// thread as well as on the committing one. A commit whose callback
+// reported ok must survive; every other commit is whole or absent.
+// The batched-drain arm holds the first drain until every commit has
+// parked, so the second drain stages and fences five commits at once
+// and the sweep cuts the power at each of its events.
 // ---------------------------------------------------------------------
 
 namespace async {
@@ -833,7 +812,6 @@ makeAsyncDb()
     cfg.rowRegionSize = 2u << 20;
     cfg.rowsPerTable = 256;
     cfg.walShards = 8;
-    cfg.groupCommitWindowUs = DatabaseConfig::kWindowAuto;
     auto db = std::make_unique<Database>(cfg);
     db->executeSql("CREATE TABLE KV (ID BIGINT PRIMARY KEY, V BIGINT)");
     for (int pk = 0; pk < 2 * kCommits; ++pk)
@@ -850,25 +828,63 @@ enum Fate : int
     kOk,        ///< its callback reported ok
 };
 
+/** One drain the drainer took: the injector's event count when it
+ * took the batch, and the batch size. */
+struct Drain
+{
+    std::uint64_t startEvent;
+    std::size_t size;
+};
+
 struct Run
 {
     std::array<std::atomic<int>, kCommits> fate;
     /** The committing thread saw the power fail. */
     bool clientCut = false;
+    /** Written by the drain hook on the drainer thread; read once
+     * every callback has run. */
+    std::vector<Drain> drains;
+    std::atomic<bool> firstDrainTaken{false};
+    std::atomic<bool> allSent{false};
 
     Run()
     {
         for (auto &f : fate)
             f.store(kNeverSent);
     }
+
+    /** Size of the drain the power failed in, when it failed on the
+     * drainer thread: the last drain taken before the cut. */
+    std::size_t
+    cutDrainSize(std::uint64_t cut_event) const
+    {
+        std::size_t size = 0;
+        for (const Drain &d : drains)
+            if (d.startEvent < cut_event)
+                size = d.size;
+        return size;
+    }
 };
 
-/** Commit i writes 100 + i to rows 2i and 2i+1. Returns once every
- * sent commit's callback has run: after a power failure the
- * injector kills the drainer's later events too, so each fires. */
+/** Commit i writes 100 + i to rows 2i and 2i+1. With
+ * @p hold_first_drain the first drain waits on the drainer until
+ * the thread has sent every commit, and the thread sends commit 1
+ * only once commit 0's drain has been taken. Returns once every sent
+ * commit's callback has run: after a power failure the injector
+ * kills the drainer's later events too, so each fires. */
 void
-runPipeline(Database &db, Run *run)
+runPipeline(Database &db, const CrashInjector &inj, bool hold_first_drain,
+            Run *run)
 {
+    CommitCoordinator &coord = db.commitCoordinator();
+    coord.setDrainHook([&inj, hold_first_drain, run](std::size_t n) {
+        run->drains.push_back(Drain{inj.eventCount(), n});
+        if (!hold_first_drain || run->drains.size() != 1)
+            return;
+        run->firstDrainTaken.store(true, std::memory_order_release);
+        while (!run->allSent.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
     std::atomic<int> outstanding{0};
     try {
         for (int i = 0; i < kCommits; ++i) {
@@ -890,12 +906,19 @@ runPipeline(Database &db, Run *run)
                 run->fate[i].store(st.isOk() ? kOk : kFailed);
                 outstanding.fetch_sub(1, std::memory_order_release);
             });
+            if (hold_first_drain && i == 0) {
+                while (!run->firstDrainTaken.load(
+                    std::memory_order_acquire))
+                    std::this_thread::yield();
+            }
         }
     } catch (const SimulatedCrash &) {
         run->clientCut = true;
     }
+    run->allSent.store(true, std::memory_order_release);
     while (outstanding.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
+    coord.setDrainHook(nullptr);
 }
 
 std::int64_t
@@ -906,7 +929,7 @@ valueOf(Database &db, std::int64_t pk)
 }
 
 void
-asyncSweep(CrashMode mode)
+asyncSweep(CrashMode mode, bool hold_first_drain)
 {
     setWarningsEnabled(false);
     // Dry run: the clean run's event count. Batching varies with the
@@ -918,17 +941,23 @@ asyncSweep(CrashMode mode)
         CrashInjector probe;
         db->device().setInjector(&probe);
         Run run;
-        runPipeline(*db, &run);
+        runPipeline(*db, probe, hold_first_drain, &run);
         db->device().setInjector(nullptr);
         clean_events = probe.eventCount();
         for (int i = 0; i < kCommits; ++i)
             ASSERT_EQ(run.fate[i].load(), kOk) << "commit " << i;
+        if (hold_first_drain) {
+            ASSERT_EQ(run.drains.size(), 2u);
+            EXPECT_EQ(run.drains[1].size,
+                      static_cast<std::size_t>(kCommits - 1));
+        }
     }
     ASSERT_GT(clean_events, 0u);
 
     constexpr std::uint64_t kSeedBase = 500;
     unsigned cuts = 0;
     unsigned drainer_cuts = 0;
+    unsigned batched_cuts = 0;
     std::uint64_t event = 1;
     for (;; ++event) {
         auto db = makeAsyncDb();
@@ -936,7 +965,7 @@ asyncSweep(CrashMode mode)
         db->device().setInjector(&inj);
         inj.arm(event);
         Run run;
-        runPipeline(*db, &run);
+        runPipeline(*db, inj, hold_first_drain, &run);
         bool cut = inj.tripped();
         inj.disarm();
         db->device().setInjector(nullptr);
@@ -948,8 +977,11 @@ asyncSweep(CrashMode mode)
         ++cuts;
         // The committing thread finished untouched, so the drainer
         // took the cut.
-        if (!run.clientCut)
+        if (!run.clientCut) {
             ++drainer_cuts;
+            if (run.cutDrainSize(event) >= 2)
+                ++batched_cuts;
+        }
         db->crash(mode, kSeedBase + event);
 
         for (int i = 0; i < kCommits; ++i) {
@@ -975,12 +1007,18 @@ asyncSweep(CrashMode mode)
         if (testing::Test::HasFailure())
             break;
     }
-    std::printf("[ async sweep ] %u events clean, %u power cuts (%u on "
-                "the drainer thread), crash seeds %llu..%llu\n",
+    std::printf("[ async sweep ] %s: %u events clean, %u power cuts (%u "
+                "on the drainer thread, %u inside a drain of 2+ "
+                "commits), crash seeds %llu..%llu\n",
+                hold_first_drain ? "batched drain" : "free drainer",
                 static_cast<unsigned>(clean_events), cuts, drainer_cuts,
+                batched_cuts,
                 static_cast<unsigned long long>(kSeedBase + 1),
                 static_cast<unsigned long long>(kSeedBase + event));
     EXPECT_GT(drainer_cuts, 0u);
+    if (hold_first_drain) {
+        EXPECT_GT(batched_cuts, 0u);
+    }
     setWarningsEnabled(true);
 }
 
@@ -988,12 +1026,22 @@ asyncSweep(CrashMode mode)
 
 TEST(DbCrashTest, AsyncCommitSweepConservative)
 {
-    async::asyncSweep(CrashMode::kDiscardUnflushed);
+    async::asyncSweep(CrashMode::kDiscardUnflushed, false);
 }
 
 TEST(DbCrashTest, AsyncCommitSweepWithCacheEviction)
 {
-    async::asyncSweep(CrashMode::kEvictRandomLines);
+    async::asyncSweep(CrashMode::kEvictRandomLines, false);
+}
+
+TEST(DbCrashTest, AsyncCommitSweepBatchedDrainConservative)
+{
+    async::asyncSweep(CrashMode::kDiscardUnflushed, true);
+}
+
+TEST(DbCrashTest, AsyncCommitSweepBatchedDrainWithCacheEviction)
+{
+    async::asyncSweep(CrashMode::kEvictRandomLines, true);
 }
 
 TEST(DbCrashTest, DdlSweep)

@@ -157,15 +157,13 @@ class WireServerTest : public ::testing::Test
 {
   protected:
     void
-    startServer(unsigned shards = 2, unsigned wal_shards = 4,
-                std::uint64_t window_us = 0)
+    startServer(unsigned shards = 2, unsigned wal_shards = 4)
     {
         db::ShardedDatabaseConfig cfg;
         cfg.shards = shards;
         cfg.shard.rowRegionSize = 2u << 20;
         cfg.shard.rowsPerTable = 512;
         cfg.shard.walShards = wal_shards;
-        cfg.shard.groupCommitWindowUs = window_us;
         db_ = std::make_unique<db::ShardedDatabase>(cfg);
 
         ServerConfig scfg;

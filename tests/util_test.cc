@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 
-#include "db/database.hh"
 #include "util/bitmap.hh"
 #include "util/common.hh"
 #include "util/env.hh"
@@ -228,73 +226,6 @@ TEST(EnvTest, BenchOpsUnitSuffixIsNotTen)
     setenv(kName, "10k", 1);
     EXPECT_EQ(envUnsigned(kName, 400000), 400000u);
     unsetenv(kName);
-}
-
-// ESPRESSO_DB_GROUP_COMMIT, read by a real Database: a malformed value
-// warns once and keeps eager commits. A lenient parse would read
-// "100us" as a 100 µs window and take "abc" and "-5" silently.
-
-struct GroupCommitResolution
-{
-    std::uint64_t windowNs;
-    int warnings;
-};
-
-GroupCommitResolution
-resolveGroupCommit(const char *value)
-{
-    setenv("ESPRESSO_DB_GROUP_COMMIT", value, 1);
-    db::DatabaseConfig cfg;
-    cfg.rowRegionSize = 2u << 20;
-    cfg.rowsPerTable = 256;
-    testing::internal::CaptureStderr();
-    std::uint64_t window_ns = 0;
-    {
-        db::Database db(cfg);
-        window_ns = db.commitCoordinator().windowNs();
-    }
-    std::string err = testing::internal::GetCapturedStderr();
-    unsetenv("ESPRESSO_DB_GROUP_COMMIT");
-    int warnings = 0;
-    for (std::size_t at = err.find("ESPRESSO_DB_GROUP_COMMIT");
-         at != std::string::npos;
-         at = err.find("ESPRESSO_DB_GROUP_COMMIT", at + 1))
-        ++warnings;
-    return {window_ns, warnings};
-}
-
-TEST(EnvTest, GroupCommitAcceptsAutoOrMicroseconds)
-{
-    GroupCommitResolution r = resolveGroupCommit("auto");
-    EXPECT_EQ(r.windowNs, db::CommitCoordinator::kAutoWindow);
-    EXPECT_EQ(r.warnings, 0);
-    r = resolveGroupCommit("250");
-    EXPECT_EQ(r.windowNs, 250000u);
-    EXPECT_EQ(r.warnings, 0);
-    r = resolveGroupCommit("0");
-    EXPECT_EQ(r.windowNs, 0u);
-    EXPECT_EQ(r.warnings, 0);
-}
-
-TEST(EnvTest, GroupCommitUnitSuffixIsNot100Us)
-{
-    GroupCommitResolution r = resolveGroupCommit("100us");
-    EXPECT_EQ(r.windowNs, 0u);
-    EXPECT_EQ(r.warnings, 1);
-}
-
-TEST(EnvTest, GroupCommitWordIsNotSilentlyEager)
-{
-    GroupCommitResolution r = resolveGroupCommit("abc");
-    EXPECT_EQ(r.windowNs, 0u);
-    EXPECT_EQ(r.warnings, 1);
-}
-
-TEST(EnvTest, GroupCommitNegativeIsNotSilentlyEager)
-{
-    GroupCommitResolution r = resolveGroupCommit("-5");
-    EXPECT_EQ(r.windowNs, 0u);
-    EXPECT_EQ(r.warnings, 1);
 }
 
 } // namespace
